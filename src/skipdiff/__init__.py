@@ -36,6 +36,7 @@ from .parallel import (
     plan_blocks,
     run_aggressive,
     run_conservative,
+    run_parallel,
     run_parallel_euler,
 )
 from .rng import RngStream, Role, derive_noise
@@ -49,7 +50,15 @@ from .schedule import (
     build_sigma_grid,
     default_schedule,
 )
-from .sequential import Trajectory, predicted_x0, sample_ddim, sample_ddpm, sample_euler
+from .sequential import (
+    Operator,
+    Trajectory,
+    predicted_x0,
+    sample,
+    sample_ddim,
+    sample_ddpm,
+    sample_euler,
+)
 from .transitions import (
     SkipCoeffs,
     SkipPosterior,

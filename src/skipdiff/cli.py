@@ -23,14 +23,9 @@ from .config import RunConfig, load_config_file
 from .denoiser import evaluate
 from .errors import ConfigError, ParseError, SkipDiffError, SuiteNotFound
 from .metrics import SampleSet, mmd_gaussian, sliced_w2
-from .parallel import (
-    Mode,
-    run_aggressive,
-    run_conservative,
-    run_parallel_euler,
-)
+from .parallel import Mode, run_parallel
 from .rng import RngStream, Role, derive_noise
-from .sequential import sample_ddim, sample_ddpm, sample_euler
+from .sequential import Operator, sample
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -43,28 +38,16 @@ EXIT_SUITE_NOT_FOUND = 5
 def _run_once(cfg: RunConfig, seed: int):
     """One sampling run; returns (trajectory, round reports)."""
     stream = RngStream(seed=seed)
-    if cfg.family == "euler":
-        x_init = cfg.grid.sigmas[0] * derive_noise(stream, cfg.grid.N, Role.INIT, cfg.dim)
-        if cfg.mode == "sequential":
-            return sample_euler(cfg.grid, cfg.mixture, x_init), []
-        mode = Mode.AGGRESSIVE if cfg.mode == "aggressive" else Mode.CONSERVATIVE
-        return run_parallel_euler(cfg.grid, cfg.mixture, x_init, cfg.devices, mode)
-
-    x_T = derive_noise(stream, cfg.schedule.T, Role.INIT, cfg.dim)
+    euler = cfg.family == "euler"
+    op = Operator(cfg.family, cfg.denoiser, cfg.grid if euler else cfg.schedule,
+                  cfg.subsequence, cfg.rule)
+    x = derive_noise(stream, op.top, Role.INIT, cfg.dim)
+    if euler:
+        x = cfg.grid.sigmas[0] * x  # the variance-exploding start
     if cfg.mode == "sequential":
-        if cfg.family == "ddpm":
-            return sample_ddpm(cfg.schedule, cfg.denoiser, x_T, stream), []
-        return sample_ddim(cfg.schedule, cfg.denoiser, x_T, cfg.rule, stream,
-                           subsequence=cfg.subsequence), []
-    if cfg.mode == "aggressive":
-        return run_aggressive(
-            cfg.schedule, cfg.denoiser, x_T, cfg.devices, cfg.rule, stream,
-            recompute_anchor_eps=cfg.recompute_anchor_eps, update_family=cfg.family,
-        )
-    return run_conservative(
-        cfg.schedule, cfg.denoiser, x_T, cfg.devices, cfg.rule, stream,
-        update_family=cfg.family,
-    )
+        return sample(op, x, stream), []
+    return run_parallel(op, x, cfg.devices, Mode(cfg.mode), stream,
+                        recompute_anchor_eps=cfg.recompute_anchor_eps)
 
 
 def cmd_sample(args) -> int:
@@ -124,7 +107,9 @@ def cmd_bench(args) -> int:
     cfg = load_config_file(args.config)
     if cfg.latency is None:
         raise ConfigError("bench requires a latency model (latency.eval_ms)")
-    devices_list = [int(v) for v in args.devices.split(",")]
+    devices_list = _parse_list(args.devices, int, "--devices")
+    if min(devices_list) < 1 or args.repeats < 1:
+        raise ConfigError("--devices and --repeats must be >= 1")
     modes = args.modes.split(",")
     for m in modes:
         if m not in ("aggressive", "conservative"):
@@ -195,6 +180,13 @@ def _read_samples_csv(path: str) -> np.ndarray:
     return data
 
 
+def _parse_list(text: str, kind, flag: str) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag}: expected a comma-separated list, got {text!r}") from None
+
+
 def _is_float(s: str) -> bool:
     try:
         float(s)
@@ -242,7 +234,7 @@ def cmd_dump_schedule(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg = load_config_file(args.config)
-    x = np.array([float(v) for v in args.x.split(",")])
+    x = np.array(_parse_list(args.x, float, "--x"))
     eps = evaluate(cfg.denoiser, cfg.schedule, x, args.t)
     print(" ".join(repr(float(v)) for v in np.atleast_1d(eps)))
     return EXIT_OK

@@ -61,8 +61,8 @@ KNOWN_KEYS = {
     "sampler.devices": "parallel devices (block size k)",
     "sampler.rule": "deterministic | ddpm | eta",
     "sampler.eta": "eta for rule=eta",
-    "sampler.subsequence": "DDIM timestep subsequence (comma list, ends at 0)",
-    "sampler.recompute_anchor_eps": "ablation: re-evaluate eps at refined anchors",
+    "sampler.subsequence": "DDIM/DDPM timestep subsequence (comma list, ends at 0)",
+    "sampler.recompute_anchor_eps": "aggressive-mode ablation: re-evaluate eps at refined anchors",
     "seed": "base RNG seed; run i uses seed+i",
     "samples": "number of samples to generate",
     "dim": "state dimension (required for state-independent denoiser)",
@@ -204,6 +204,8 @@ def load_config(text: str) -> RunConfig:
     cfg.seed = _get_int(kv, "seed")
     cfg.samples = _get_int(kv, "samples", 1)
     cfg.recompute_anchor_eps = kv["sampler.recompute_anchor_eps"].lower() in ("true", "1", "yes")
+    if cfg.recompute_anchor_eps and cfg.mode != "aggressive":
+        raise ConfigError("sampler.recompute_anchor_eps applies to sampler.mode = aggressive only")
 
     rule_name = kv["sampler.rule"]
     if rule_name == "deterministic":
@@ -219,6 +221,8 @@ def load_config(text: str) -> RunConfig:
         raise ConfigError(f"sampler.rule: unknown rule {rule_name!r}")
 
     if "sampler.subsequence" in kv:
+        if cfg.family == "euler":
+            raise ConfigError("sampler.subsequence applies to the ddim and ddpm families only")
         try:
             cfg.subsequence = [int(v) for v in kv["sampler.subsequence"].split(",")]
         except ValueError:
@@ -228,11 +232,8 @@ def load_config(text: str) -> RunConfig:
     if kv["denoiser.kind"] == "mixture":
         weights = _get_floats(kv, "mixture.weights")
         variances = _get_floats(kv, "mixture.variances")
-        means = [
-            [float(v) for v in vec.split()]
-            for vec in kv["mixture.means"].split(";")
-        ]
         try:
+            means = [[float(v) for v in vec.split()] for vec in kv["mixture.means"].split(";")]
             cfg.mixture = GaussianMixture(
                 weights=np.array(weights), means=np.array(means), variances=np.array(variances)
             )

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DimensionMismatch, NonPositiveSigma, TimestepOutOfRange
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, SigmaGrid
 
 _STATE_INDEP_SALT = 0x51DE  # keeps state_independent_eps streams apart from RngStream keys
 _PERTURB_SALT = b"perturb"
@@ -233,18 +233,24 @@ def _perturbation(x: np.ndarray, t: int, scale: float) -> np.ndarray:
 
 def evaluate(
     d: Denoiser,
-    s: NoiseSchedule,
+    s: NoiseSchedule | SigmaGrid,
     x: np.ndarray,
     t: int,
     clock: VirtualClock | None = None,
 ) -> np.ndarray:
     """Single entry point the samplers and schedulers call.
 
+    On a NoiseSchedule, t is a timestep and the result a noise prediction;
+    on a SigmaGrid, t is a grid index and the result the ODE velocity at
+    sigmas[t] (analytic mixture denoisers only).
+
     With a VirtualClock, Latency wrappers charge the clock instead of
     sleeping (fast CI); without one they sleep for eval_time_ms of real
     wall time, which is what the worker-pool benchmarks measure.
     """
     if isinstance(d, AnalyticEps):
+        if isinstance(s, SigmaGrid):
+            return velocity_oracle(d.gm, x, float(s.sigmas[t]))
         return eps_oracle(d.gm, s, x, t)
     if isinstance(d, StateIndependent):
         if t < 0 or t > s.T:

@@ -10,6 +10,10 @@ refined anchor, then one parallel round of k draft evaluations, and uses
 eps_{t-k} to push one extra unit step. Two rounds per k+1 steps; T evaluations
 total; ideal speedup (k+1)/2.
 
+Both modes run any sequential.Operator: DDIM and DDPM predict eps on a noise
+schedule, Euler predicts the ODE velocity on a sigma grid, and all three go
+through the same denoiser wrapper stack (latency, virtual clock, counting).
+
 Determinism: all noise comes from counter-based RngStream keys, drafts are
 computed on the scheduler thread, and round results are gathered by task
 index, so outputs are bit-identical across worker counts and completion
@@ -24,19 +28,12 @@ from enum import Enum
 
 import numpy as np
 
-from .denoiser import (
-    Denoiser,
-    GaussianMixture,
-    VirtualClock,
-    evaluate,
-    latency_of,
-    velocity_oracle,
-)
-from .errors import InvalidPlanParams, PlanMismatch, WorkerFailure
-from .rng import RngStream, Role, derive_noise
+from .denoiser import AnalyticEps, Denoiser, GaussianMixture, VirtualClock, evaluate, latency_of
+from .errors import ConfigError, InvalidPlanParams, PlanMismatch, WorkerFailure
+from .rng import RngStream, Role
 from .schedule import NoiseSchedule, SigmaGrid
-from .sequential import Trajectory, _Timer, predicted_x0
-from .transitions import VarianceRule, ddim_skip, ddpm_skip_sample, euler_skip
+from .sequential import Operator, Trajectory, _now_ms
+from .transitions import VarianceRule
 
 WORKER_CAP_ENV = "SKIPDIFF_MAX_WORKERS"
 
@@ -90,14 +87,17 @@ def plan_blocks(T: int, devices: int, mode: Mode) -> BlockPlan:
 
 def _worker_cap(requested: int) -> int:
     cap = os.environ.get(WORKER_CAP_ENV)
-    if cap:
+    if not cap:
+        return requested
+    try:
         return max(1, min(requested, int(cap)))
-    return requested
+    except ValueError:
+        raise ConfigError(f"{WORKER_CAP_ENV}: expected integer, got {cap!r}") from None
 
 
 def execute_round(
     d: Denoiser,
-    s: NoiseSchedule,
+    s: NoiseSchedule | SigmaGrid,
     tasks: list,
     devices: int,
     *,
@@ -109,31 +109,10 @@ def execute_round(
     """Dispatch all (x, t) tasks concurrently; return noise predictions ordered
     by task index plus a RoundReport. Round wall time is the max over workers
     (plus dispatch overhead), not the sum."""
-    model = latency_of(d)
-    overhead_ms = model.dispatch_overhead_ms if model else 0.0
-
-    def fn(x, t, sub_clock):
-        return evaluate(d, s, x, t, sub_clock)
-
-    return _execute_tasks(
-        fn, tasks, devices, anchor_t=anchor_t, pool=pool, clock=clock,
-        submit_order=submit_order, overhead_ms=overhead_ms,
-    )
-
-
-def _execute_tasks(
-    fn,
-    tasks: list,
-    devices: int,
-    *,
-    anchor_t: int,
-    pool: ThreadPoolExecutor | None = None,
-    clock: VirtualClock | None = None,
-    submit_order=None,
-    overhead_ms: float = 0.0,
-) -> tuple[list, RoundReport]:
     if len(tasks) > devices:
         raise InvalidPlanParams(f"{len(tasks)} tasks exceed {devices} devices")
+    model = latency_of(d)
+    overhead_ms = model.dispatch_overhead_ms if model else 0.0
 
     if clock is not None:
         # virtual clock: serial execution, per-task sub-accumulators, round
@@ -141,7 +120,7 @@ def _execute_tasks(
         results, spans = [], []
         for i, (x, t) in enumerate(tasks):
             sub = VirtualClock()
-            results.append(fn(x, t, sub))
+            results.append(evaluate(d, s, x, t, sub))
             spans.append((i, 0.0, sub.elapsed_ms))
         round_ms = max((ms for _, _, ms in spans), default=0.0) + overhead_ms
         clock.charge(round_ms)
@@ -154,9 +133,8 @@ def _execute_tasks(
     def work(i):
         x, t = tasks[i]
         start = time.monotonic()
-        val = fn(x, t, None)
+        val = evaluate(d, s, x, t)
         return i, val, start, time.monotonic()
-
     order = list(submit_order) if submit_order is not None else range(len(tasks))
     owns_pool = pool is None
     if owns_pool:
@@ -184,20 +162,89 @@ def _execute_tasks(
     return results, RoundReport(anchor_t, len(tasks), round_ms, spans)
 
 
-def _draft_noise(stream: RngStream, t: int, i: int, stochastic: bool, shape):
-    """Noise for the i-th draft from anchor t. The i=1 draft IS the kept state
-    for timestep t-1, so it uses the TRANSITION key; deeper drafts are
-    discarded after their evaluation and use DRAFT keys."""
-    if not stochastic:
-        return None
-    role = Role.TRANSITION if i == 1 else Role.DRAFT
-    return derive_noise(stream, t - i, role, shape)
+def run_parallel(
+    op: Operator,
+    x: np.ndarray,
+    devices: int,
+    mode: Mode,
+    stream: RngStream | None,
+    *,
+    clock: VirtualClock | None = None,
+    workers: int | None = None,
+    submit_order_seed: int | None = None,
+    recompute_anchor_eps: bool = False,
+) -> tuple[Trajectory, list[RoundReport]]:
+    """Draft-and-refine run of any operator in either mode. `workers` sizes
+    the physical pool (defaults to `devices`; never changes outputs),
+    `submit_order_seed` shuffles per-round submission order (for
+    order-invariance testing), and `recompute_anchor_eps` (aggressive only)
+    replaces each cached anchor prediction with a stand-alone evaluation at
+    the refined state (ablation; adds one round and one eval per interior
+    block). Tasks at levels with no prediction (Euler's sigma = 0 node) are
+    dropped: nothing downstream consumes them."""
+    start = _now_ms(clock)
+    plan = plan_blocks(op.steps, devices, mode)
+    aggressive = mode is Mode.AGGRESSIVE
+    x = np.asarray(x, dtype=float)
+    traj = Trajectory(states=[(op.labels[0], x)])
+    reports: list[RoundReport] = []
+    shuffle = (
+        np.random.default_rng(submit_order_seed) if submit_order_seed is not None else None
+    )
+    pool = ThreadPoolExecutor(max_workers=_worker_cap(workers or devices))
 
+    def round_(tasks, anchor):
+        """Evaluate (x, position) tasks in one round; predictions by position."""
+        live = [(xx, i) for xx, i in tasks if op.predicts(i)]
+        order = shuffle.permutation(len(live)) if shuffle is not None else None
+        vals, report = execute_round(
+            op.denoiser, op.levels, [(xx, op.level(i)) for xx, i in live], devices,
+            anchor_t=op.labels[anchor], pool=pool, clock=clock, submit_order=order,
+        )
+        reports.append(report)
+        traj.eval_count += len(live)
+        return {i: v for (_, i), v in zip(live, vals)}
 
-def _refine_noise(stream: RngStream, u: int, stochastic: bool, shape):
-    if not stochastic:
-        return None
-    return derive_noise(stream, u, Role.TRANSITION, shape)
+    def advance(i, k, x, v, role=Role.TRANSITION):
+        return op.skip(i, k, x, v, op.noise(stream, i + k, role, x.shape))
+
+    try:
+        if aggressive:
+            v = round_([(x, 0)], 0)[0]
+        for r, k in plan.blocks:
+            i = op.steps - r
+            if not aggressive or (recompute_anchor_eps and i > 0):
+                v = round_([(x, i)], i)[i]
+            if k == 0:  # degenerate final conservative block: one unit step, no round
+                x = advance(i, 1, x, v)
+                traj.states.append((op.labels[i + 1], x))
+                continue
+            # The j=1 draft IS the kept state at i+1, so it takes that
+            # state's TRANSITION noise; deeper drafts are discarded after
+            # their evaluation and take DRAFT keys.
+            drafts = [advance(i, j, x, v, Role.TRANSITION if j == 1 else Role.DRAFT)
+                      for j in range(1, k + 1)]
+            vals = round_([(drafts[j - 1], i + j) for j in range(1, k + 1)], i)
+            x = drafts[0]
+            traj.states.append((op.labels[i + 1], x))
+            for j in range(2, (k if aggressive else k + 1) + 1):
+                x = advance(i + j - 1, 1, x, vals[i + j - 1])
+                traj.states.append((op.labels[i + j], x))
+            v = vals.get(i + k)  # aggressive: the cached draft prediction for the next anchor
+    finally:
+        pool.shutdown(wait=True)
+
+    if traj.states[-1][0] != 0:
+        raise PlanMismatch(f"trajectory ends at t={traj.states[-1][0]}, expected 0")
+    expected = plan.total_evals
+    if aggressive and recompute_anchor_eps:
+        expected += len(plan.blocks) - 1  # one anchor re-evaluation per interior block
+    if aggressive and not op.predicts(op.steps):
+        expected -= 1  # the final draft, at sigma = 0, is never dispatched
+    if traj.eval_count != expected:
+        raise PlanMismatch(f"{traj.eval_count} evals, plan expected {expected}")
+    traj.wall_ms = _now_ms(clock) - start
+    return traj, reports
 
 
 def run_aggressive(
@@ -214,17 +261,15 @@ def run_aggressive(
     recompute_anchor_eps: bool = False,
     update_family: str = "ddim",
 ) -> tuple[Trajectory, list[RoundReport]]:
-    """Aggressive draft-and-refine run. `workers` sizes the physical pool
-    (defaults to `devices`; never changes outputs), `submit_order_seed`
-    shuffles per-round submission order (for order-invariance testing), and
-    `recompute_anchor_eps` replaces each cached anchor eps with a fresh
-    stand-alone evaluation at the refined state (ablation; adds one round and
-    one eval per interior block). `update_family` selects the block update:
-    "ddim" (default) or "ddpm" (posterior skips; always stochastic, `rule`
+    """Aggressive draft-and-refine run on every timestep T..0 (see
+    run_parallel). `update_family` selects the block update: "ddim"
+    (default) or "ddpm" (posterior skips; always stochastic, `rule`
     ignored)."""
-    plan = plan_blocks(s.T, devices, Mode.AGGRESSIVE)
-    return _run(plan, s, d, x_T, devices, rule, stream, clock, workers,
-                submit_order_seed, recompute_anchor_eps, update_family)
+    return run_parallel(
+        Operator(update_family, d, s, rule=rule), x_T, devices, Mode.AGGRESSIVE, stream,
+        clock=clock, workers=workers, submit_order_seed=submit_order_seed,
+        recompute_anchor_eps=recompute_anchor_eps,
+    )
 
 
 def run_conservative(
@@ -242,83 +287,10 @@ def run_conservative(
 ) -> tuple[Trajectory, list[RoundReport]]:
     """Conservative run: stand-alone anchor evaluation, then one parallel
     round per block, pushing k+1 steps."""
-    plan = plan_blocks(s.T, devices, Mode.CONSERVATIVE)
-    return _run(plan, s, d, x_T, devices, rule, stream, clock, workers,
-                submit_order_seed, False, update_family)
-
-
-def _run(plan, s, d, x_T, devices, rule, stream, clock, workers,
-         submit_order_seed, recompute_anchor_eps, update_family="ddim"):
-    if update_family not in ("ddim", "ddpm"):
-        raise ValueError(f"unknown update family: {update_family!r}")
-    stochastic = rule.stochastic or update_family == "ddpm"
-
-    def skip(t, k, x, eps, z):
-        # same arithmetic as the sequential samplers, one fused k-step jump
-        if update_family == "ddim":
-            return ddim_skip(s, t, k, x, eps, rule, z)
-        return ddpm_skip_sample(s, t, k, x, predicted_x0(s, x, eps, t), z)
-
-    x = np.asarray(x_T, dtype=float)
-    traj = Trajectory(states=[(s.T, x)])
-    reports: list[RoundReport] = []
-    shuffle = (
-        np.random.default_rng(submit_order_seed) if submit_order_seed is not None else None
+    return run_parallel(
+        Operator(update_family, d, s, rule=rule), x_T, devices, Mode.CONSERVATIVE, stream,
+        clock=clock, workers=workers, submit_order_seed=submit_order_seed,
     )
-    timer = _Timer(clock)
-    pool = ThreadPoolExecutor(max_workers=_worker_cap(workers or devices))
-
-    def round_(tasks, anchor_t):
-        order = shuffle.permutation(len(tasks)) if shuffle is not None else None
-        vals, report = execute_round(
-            d, s, tasks, devices, anchor_t=anchor_t, pool=pool, clock=clock,
-            submit_order=order,
-        )
-        reports.append(report)
-        traj.eval_count += len(tasks)
-        return vals
-
-    try:
-        eps_anchor = None
-        if plan.mode is Mode.AGGRESSIVE:
-            (eps_anchor,) = round_([(x, s.T)], s.T)
-        for t, k in plan.blocks:
-            if plan.mode is Mode.CONSERVATIVE:
-                (eps_anchor,) = round_([(x, t)], t)
-                if k == 0:  # degenerate final block: single unit step, no parallel round
-                    x = skip(t, 1, x, eps_anchor,
-                             _refine_noise(stream, t - 1, stochastic, x.shape))
-                    traj.states.append((t - 1, x))
-                    continue
-            elif recompute_anchor_eps and t != s.T:
-                (eps_anchor,) = round_([(x, t)], t)
-            drafts = [
-                skip(t, i, x, eps_anchor, _draft_noise(stream, t, i, stochastic, x.shape))
-                for i in range(1, k + 1)
-            ]
-            eps = round_([(drafts[i - 1], t - i) for i in range(1, k + 1)], t)
-            x = drafts[0]
-            traj.states.append((t - 1, x))
-            last = k if plan.mode is Mode.AGGRESSIVE else k + 1
-            for i in range(2, last + 1):
-                x = skip(t - i + 1, 1, x, eps[i - 2],
-                         _refine_noise(stream, t - i, stochastic, x.shape))
-                traj.states.append((t - i, x))
-            eps_anchor = eps[k - 1]  # aggressive: cached draft-state eps for the next anchor
-    finally:
-        pool.shutdown(wait=True)
-
-    if traj.states[-1][0] != 0:
-        raise PlanMismatch(f"trajectory ends at t={traj.states[-1][0]}, expected 0")
-    expected = plan.total_evals
-    if recompute_anchor_eps:
-        expected += sum(1 for t, _ in plan.blocks if t != s.T)
-    if traj.eval_count != expected:
-        raise PlanMismatch(f"{traj.eval_count} evals, plan expected {expected}")
-    traj.wall_ms = timer.elapsed_ms() if clock is not None else sum(
-        r.round_wall_ms for r in reports
-    )
-    return traj, reports
 
 
 def run_parallel_euler(
@@ -332,50 +304,6 @@ def run_parallel_euler(
 ) -> tuple[Trajectory, list[RoundReport]]:
     """Euler-family variant of the two schedulers on a sigma grid, using the
     analytic velocity oracle. Deterministic; trajectory timesteps count
-    remaining grid intervals, as in sample_euler. Velocity tasks at sigma=0
-    (the final grid node) are dropped: nothing downstream consumes them."""
-    plan = plan_blocks(g.N, devices, mode)
-    x = np.asarray(x_init, dtype=float)
-    traj = Trajectory(states=[(g.N, x)])
-    reports: list[RoundReport] = []
-    pool = ThreadPoolExecutor(max_workers=_worker_cap(workers or devices))
-    timer = _Timer(None)
-
-    def fn(x_, idx, _clock):
-        return velocity_oracle(gm, x_, float(g.sigmas[idx]))
-
-    def round_(tasks, anchor_rem):
-        live = [(xx, idx) for xx, idx in tasks if g.sigmas[idx] > 0.0]
-        vals, report = _execute_tasks(fn, live, devices, anchor_t=anchor_rem, pool=pool)
-        reports.append(report)
-        traj.eval_count += len(live)
-        return {idx: v for (_, idx), v in zip(live, vals)}
-
-    try:
-        v_anchor = None
-        if mode is Mode.AGGRESSIVE:
-            v_anchor = round_([(x, 0)], g.N)[0]
-        for t_rem, k in plan.blocks:
-            i = g.N - t_rem
-            if mode is Mode.CONSERVATIVE:
-                v_anchor = round_([(x, i)], t_rem)[i]
-                if k == 0:
-                    x = euler_skip(g, i, 1, x, v_anchor)
-                    traj.states.append((t_rem - 1, x))
-                    continue
-            drafts = [euler_skip(g, i, j, x, v_anchor) for j in range(1, k + 1)]
-            vels = round_([(drafts[j - 1], i + j) for j in range(1, k + 1)], t_rem)
-            x = drafts[0]
-            traj.states.append((t_rem - 1, x))
-            last = k if mode is Mode.AGGRESSIVE else k + 1
-            for j in range(2, last + 1):
-                x = euler_skip(g, i + j - 1, 1, x, vels[i + j - 1])
-                traj.states.append((t_rem - j, x))
-            v_anchor = vels.get(i + k)
-    finally:
-        pool.shutdown(wait=True)
-
-    if traj.states[-1][0] != 0:
-        raise PlanMismatch(f"trajectory ends at t={traj.states[-1][0]}, expected 0")
-    traj.wall_ms = timer.elapsed_ms()
-    return traj, reports
+    remaining grid intervals, as in sample_euler."""
+    return run_parallel(Operator("euler", AnalyticEps(gm), g), x_init, devices, mode, None,
+                        workers=workers)

@@ -1,4 +1,5 @@
-"""Single-stream baseline samplers. These are the ground truth the parallel
+"""Single-stream baseline sampler and the sampling operator shared with the
+parallel schedulers. The sequential loop is the ground truth the parallel
 schedulers must match (exactly, for the state-independent denoiser) or
 approximate (within the skip-vs-compose bound, for real denoisers)."""
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import Denoiser, GaussianMixture, VirtualClock, evaluate, velocity_oracle
+from .denoiser import AnalyticEps, Denoiser, GaussianMixture, VirtualClock, evaluate
 from .errors import InvalidSubsequence
 from .rng import RngStream, Role
 from .schedule import NoiseSchedule, SigmaGrid
@@ -32,26 +33,111 @@ class Trajectory:
         return [t for t, _ in self.states]
 
 
-class _Timer:
+def _now_ms(clock: VirtualClock | None) -> float:
     """Wall time via a monotonic clock, or simulated time via a VirtualClock."""
-
-    def __init__(self, clock: VirtualClock | None):
-        self.clock = clock
-        if clock is None:
-            self._start = time.monotonic()
-        else:
-            self._start = clock.elapsed_ms
-
-    def elapsed_ms(self) -> float:
-        if self.clock is None:
-            return (time.monotonic() - self._start) * 1000.0
-        return self.clock.elapsed_ms - self._start
+    return time.monotonic() * 1000.0 if clock is None else clock.elapsed_ms
 
 
 def predicted_x0(s: NoiseSchedule, x_t: np.ndarray, eps: np.ndarray, t: int) -> np.ndarray:
     """x0_hat = (x_t - sqrt(1-abar_t) eps) / sqrt(abar_t)."""
     a_t = s.alpha_bar[t]
     return (x_t - math.sqrt(1.0 - a_t) * eps) / math.sqrt(a_t)
+
+
+@dataclass(frozen=True)
+class Operator:
+    """One sampler family on one trajectory, addressed by position i in
+    `labels`.
+
+    `levels` is the NoiseSchedule (ddim, ddpm) or the SigmaGrid (euler) that
+    the denoiser and the skip read. `labels` are the trajectory timesteps
+    from the start down to 0 (default: every level, T..0 on a schedule and
+    N..0 on a grid, where a label counts the remaining grid intervals); a
+    strictly decreasing subsequence samples DDIM/DDPM on fewer steps. `rule`
+    sets the DDIM transition variance; ddpm is always stochastic and euler
+    never is.
+    """
+
+    family: str
+    denoiser: Denoiser
+    levels: NoiseSchedule | SigmaGrid
+    labels: tuple | None = None
+    rule: VarianceRule = VarianceRule.deterministic()
+
+    def __post_init__(self):
+        on_grid = isinstance(self.levels, SigmaGrid)
+        if self.family not in ("ddim", "ddpm", "euler") or (self.family == "euler") != on_grid:
+            raise ValueError(
+                f"family {self.family!r} cannot run on a {type(self.levels).__name__}"
+            )
+        top = self.top
+        ts = tuple(range(top, -1, -1) if self.labels is None else self.labels)
+        if not ts or ts[-1] != 0 or ts[0] > top:
+            raise InvalidSubsequence(f"subsequence must start <= {top} and end at 0: {list(ts)}")
+        if any(a <= b for a, b in zip(ts, ts[1:])):
+            raise InvalidSubsequence(f"subsequence must be strictly decreasing: {list(ts)}")
+        object.__setattr__(self, "labels", ts)
+
+    @property
+    def top(self) -> int:
+        """Number of levels below the first: T on a schedule, N on a grid."""
+        return self.levels.N if self.family == "euler" else self.levels.T
+
+    @property
+    def steps(self) -> int:
+        return len(self.labels) - 1
+
+    @property
+    def stochastic(self) -> bool:
+        return self.family == "ddpm" or (self.family == "ddim" and self.rule.stochastic)
+
+    def level(self, i: int) -> int:
+        """The index into `levels` that evaluate() takes at position i."""
+        return self.top - self.labels[i] if self.family == "euler" else self.labels[i]
+
+    def predicts(self, i: int) -> bool:
+        """False at a level with no prediction: the grid's sigma = 0 node,
+        where the velocity is undefined and nothing downstream needs it."""
+        return self.family != "euler" or self.labels[i] > 0
+
+    def noise(self, stream: RngStream, i: int, role: Role, shape):
+        """z for the state at position i, keyed by its label; None when the
+        operator consumes no noise."""
+        if not self.stochastic:
+            return None
+        return stream.derive(self.labels[i], role, shape)
+
+    def skip(self, i: int, k: int, x: np.ndarray, v: np.ndarray, z) -> np.ndarray:
+        """Jump from position i to position i+k with the prediction v made at i."""
+        t, u = self.labels[i], self.labels[i + k]
+        if self.family == "euler":
+            return euler_skip(self.levels, self.level(i), t - u, x, v)
+        if self.family == "ddim":
+            return ddim_skip(self.levels, t, t - u, x, v, self.rule, z)
+        return ddpm_skip_sample(self.levels, t, t - u, x, predicted_x0(self.levels, x, v, t), z)
+
+
+def sample(
+    op: Operator,
+    x: np.ndarray,
+    stream: RngStream | None,
+    clock: VirtualClock | None = None,
+) -> Trajectory:
+    """Sequential sampling: one evaluation and one unit step per label.
+
+    The z consumed by the transition into label u is always
+    stream.derive(u, TRANSITION); an operator without noise consumes none
+    (`stream` may then be None)."""
+    start = _now_ms(clock)
+    x = np.asarray(x, dtype=float)
+    traj = Trajectory(states=[(op.labels[0], x)])
+    for i in range(op.steps):
+        v = evaluate(op.denoiser, op.levels, x, op.level(i), clock)
+        traj.eval_count += 1
+        x = op.skip(i, 1, x, v, op.noise(stream, i + 1, Role.TRANSITION, x.shape))
+        traj.states.append((op.labels[i + 1], x))
+    traj.wall_ms = _now_ms(clock) - start
+    return traj
 
 
 def sample_ddpm(
@@ -62,27 +148,7 @@ def sample_ddpm(
     clock: VirtualClock | None = None,
 ) -> Trajectory:
     """Ancestral DDPM sampling: T unit-step posterior transitions."""
-    timer = _Timer(clock)
-    x = np.asarray(x_T, dtype=float)
-    traj = Trajectory(states=[(s.T, x)])
-    for t in range(s.T, 0, -1):
-        eps = evaluate(d, s, x, t, clock)
-        traj.eval_count += 1
-        x0_hat = predicted_x0(s, x, eps, t)
-        z = noise.derive(t - 1, Role.TRANSITION, x.shape)
-        x = ddpm_skip_sample(s, t, 1, x, x0_hat, z)
-        traj.states.append((t - 1, x))
-    traj.wall_ms = timer.elapsed_ms()
-    return traj
-
-
-def _check_subsequence(T: int, subsequence) -> list[int]:
-    ts = list(subsequence)
-    if not ts or ts[-1] != 0 or ts[0] > T:
-        raise InvalidSubsequence(f"subsequence must start <= {T} and end at 0: {ts}")
-    if any(a <= b for a, b in zip(ts, ts[1:])):
-        raise InvalidSubsequence(f"subsequence must be strictly decreasing: {ts}")
-    return ts
+    return sample(Operator("ddpm", d, s), x_T, noise, clock)
 
 
 def sample_ddim(
@@ -94,23 +160,8 @@ def sample_ddim(
     subsequence=None,
     clock: VirtualClock | None = None,
 ) -> Trajectory:
-    """DDIM sampling along a timestep subsequence (default: every step).
-
-    The z consumed by the transition into timestep u is always
-    noise.derive(u, TRANSITION); deterministic rules consume no noise.
-    """
-    ts = _check_subsequence(s.T, subsequence if subsequence is not None else range(s.T, -1, -1))
-    timer = _Timer(clock)
-    x = np.asarray(x_T, dtype=float)
-    traj = Trajectory(states=[(ts[0], x)])
-    for t, u in zip(ts, ts[1:]):
-        eps = evaluate(d, s, x, t, clock)
-        traj.eval_count += 1
-        z = noise.derive(u, Role.TRANSITION, x.shape) if rule.stochastic else None
-        x = ddim_skip(s, t, t - u, x, eps, rule, z)
-        traj.states.append((u, x))
-    traj.wall_ms = timer.elapsed_ms()
-    return traj
+    """DDIM sampling along a timestep subsequence (default: every step)."""
+    return sample(Operator("ddim", d, s, subsequence, rule), x_T, noise, clock)
 
 
 def sample_euler(g: SigmaGrid, gm: GaussianMixture, x_init: np.ndarray) -> Trajectory:
@@ -118,13 +169,4 @@ def sample_euler(g: SigmaGrid, gm: GaussianMixture, x_init: np.ndarray) -> Traje
 
     Trajectory timesteps count remaining grid intervals (N at the start, 0 at
     the end), keeping the t-decreasing-to-0 convention."""
-    timer = _Timer(None)
-    x = np.asarray(x_init, dtype=float)
-    traj = Trajectory(states=[(g.N, x)])
-    for i in range(g.N):
-        v = velocity_oracle(gm, x, float(g.sigmas[i]))
-        traj.eval_count += 1
-        x = euler_skip(g, i, 1, x, v)
-        traj.states.append((g.N - i - 1, x))
-    traj.wall_ms = timer.elapsed_ms()
-    return traj
+    return sample(Operator("euler", AnalyticEps(gm), g), x_init, None)

@@ -98,6 +98,39 @@ class TestSample:
         assert not (tmp_path / "p.csv").exists()
 
 
+    def test_subsequence_applies_in_parallel_modes(self, tmp_path):
+        for mode, evals, rounds in (("aggressive", 3, 2), ("conservative", 2, 2)):
+            cfg = write_cfg(tmp_path, BIMODAL + (
+                f"sampler.mode = {mode}\nsampler.devices = 2\n"
+                f"sampler.subsequence = 50, 25, 0\noutput.report = {tmp_path}/r.json\n"
+            ))
+            assert main(["sample", "--config", cfg]) == EXIT_OK
+            totals = json.loads((tmp_path / "r.json").read_text())["totals"]
+            assert (totals["evals"], totals["rounds"]) == (evals, rounds)
+
+
+BAD_INPUTS = {
+    "mixture-means": ("mixture.weights = 0.5, 0.5\nmixture.means = -2; abc\n"
+                      "mixture.variances = 1, 1\n", ["sample"], None),
+    "worker-cap-env": (BIMODAL + "sampler.mode = aggressive\nsampler.devices = 2\n",
+                       ["sample"], "abc"),
+    "probe-x": (BIMODAL, ["probe", "--x", "foo", "--t", "1"], None),
+    "bench-repeats": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--repeats", "0"], None),
+    "bench-devices": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--devices", "a"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_config(tmp_path, monkeypatch, capsys, case):
+    text, (command, *flags), worker_cap = BAD_INPUTS[case]
+    if worker_cap is not None:
+        from skipdiff.parallel import WORKER_CAP_ENV
+        monkeypatch.setenv(WORKER_CAP_ENV, worker_cap)
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestVerify:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == EXIT_SUITE_NOT_FOUND

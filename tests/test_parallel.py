@@ -7,6 +7,7 @@ from skipdiff import (
     Latency,
     LatencyModel,
     Mode,
+    Operator,
     RngStream,
     Role,
     StateIndependent,
@@ -18,7 +19,9 @@ from skipdiff import (
     plan_blocks,
     run_aggressive,
     run_conservative,
+    run_parallel,
     run_parallel_euler,
+    sample,
     sample_ddim,
     sample_ddpm,
     sample_euler,
@@ -120,6 +123,23 @@ class TestEquivalence:
                                       update_family="ddpm")
             assert _ident(agg, seq)
             assert _ident(con, seq)
+
+
+    @pytest.mark.parametrize("devices", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rule", [VarianceRule.deterministic(), VarianceRule.ddpm_induced()],
+                             ids=["deterministic", "ddpm-induced"])
+    @pytest.mark.parametrize("family", ["ddim", "ddpm"])
+    def test_subsequence(self, sched50, devices, rule, family):
+        # the subsequence is the operator's label list in every mode
+        sub = [50, 44, 37, 30, 22, 15, 9, 4, 0]
+        op = Operator(family, StateIndependent(seed=5, dim=2), sched50, sub, rule)
+        stream = RngStream(seed=4)
+        x_T = derive_noise(stream, 50, Role.INIT, 2)
+        seq = sample(op, x_T, stream)
+        assert seq.timesteps() == sub
+        for mode in Mode:
+            traj, _ = run_parallel(op, x_T, devices, mode, stream)
+            assert _ident(traj, seq)
 
 
 class TestAccounting:
@@ -307,6 +327,42 @@ class TestParallelEuler:
         a, _ = run_parallel_euler(grid, bimodal_1d, np.array([1.5]), 4, Mode.AGGRESSIVE)
         b, _ = run_parallel_euler(grid, bimodal_1d, np.array([1.5]), 4, Mode.AGGRESSIVE)
         assert _ident(a, b)
+
+
+class TestParallelEulerWrapperStack:
+    """Euler runs through the same denoiser wrappers and round dispatch as
+    DDIM: latency, virtual clock, counting and submit order all apply."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def grid():
+        return build_sigma_grid(16, 0.02, 20, 7)
+
+    @pytest.mark.parametrize("mode, rounds", [(Mode.AGGRESSIVE, 5), (Mode.CONSERVATIVE, 8)])
+    def test_virtual_clock_round_law(self, grid, bimodal_1d, mode, rounds):
+        eval_ms = 50.0
+        op = Operator("euler", Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_ms)), grid)
+        x0 = np.array([1.5])
+        seq = sample(op, x0, None, VirtualClock())
+        traj, reports = run_parallel(op, x0, 4, mode, None, clock=VirtualClock())
+        assert seq.wall_ms == 16 * eval_ms
+        assert traj.wall_ms == len(reports) * eval_ms == rounds * eval_ms
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_submit_order_invariance(self, grid, bimodal_1d, mode):
+        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
+        ref, _ = run_parallel(op, np.array([1.5]), 4, mode, None)
+        for order_seed in (1, 2, 3):
+            traj, _ = run_parallel(op, np.array([1.5]), 4, mode, None,
+                                   submit_order_seed=order_seed)
+            assert _ident(traj, ref)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_sigma_zero_task_not_dispatched(self, grid, bimodal_1d, mode):
+        den = Counting(AnalyticEps(bimodal_1d))
+        traj, reports = run_parallel(Operator("euler", den, grid), np.array([1.5]), 4, mode, None)
+        assert den.count == traj.eval_count == 16
+        assert sum(r.parallel_evals for r in reports) == 16
 
 
 class TestSpeedupVirtualClock:
