@@ -203,7 +203,10 @@ def load_config(text: str) -> RunConfig:
     cfg.devices = _get_int(kv, "sampler.devices", 1)
     cfg.seed = _get_int(kv, "seed")
     cfg.samples = _get_int(kv, "samples", 1)
-    cfg.recompute_anchor_eps = kv["sampler.recompute_anchor_eps"].lower() in ("true", "1", "yes")
+    flag = kv["sampler.recompute_anchor_eps"].lower()
+    if flag not in ("true", "1", "yes", "false", "0", "no"):
+        raise ConfigError(f"sampler.recompute_anchor_eps: expected true or false, got {flag!r}")
+    cfg.recompute_anchor_eps = flag in ("true", "1", "yes")
     if cfg.recompute_anchor_eps and cfg.mode != "aggressive":
         raise ConfigError("sampler.recompute_anchor_eps applies to sampler.mode = aggressive only")
 

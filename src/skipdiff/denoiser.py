@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionMismatch, NonPositiveSigma, TimestepOutOfRange
 from .schedule import NoiseSchedule, SigmaGrid
@@ -63,23 +62,23 @@ def standard_normal_mixture(dim: int = 1) -> GaussianMixture:
     return GaussianMixture(weights=[1.0], means=np.zeros((1, dim)), variances=[1.0])
 
 
-def _check_dim(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
+def _posterior(gm: GaussianMixture, x, a: float, noise_var: float):
+    """Component posterior of x = a x0 + sqrt(noise_var) eps with x0 ~ gm.
+
+    The noised marginal is sum_i w_i N(a m_i, s_i I) with s_i = a^2 v_i + noise_var.
+    Returns (offsets a m_i - x, shape (..., n_comp, dim); s, shape (n_comp,);
+    responsibilities, shape (..., n_comp)). The score of the marginal is
+    sum_i r_i offsets_i / s_i. A zero-weight component gets zero responsibility.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != gm.dim:
         raise DimensionMismatch(f"state dim {x.shape[-1]} != mixture dim {gm.dim}")
-    return x
-
-
-def _responsibilities(x, centers, scales):
-    """Posterior component log-weights for x under sum_i w_i N(centers[i], scales[i] I).
-
-    centers: (n_comp, dim); scales: (n_comp,) total per-coordinate variance.
-    Returns r of shape x.shape[:-1] + (n_comp,).
-    """
-    diff = x[..., None, :] - centers  # (..., n_comp, dim)
-    dim = centers.shape[1]
-    log_comp = -0.5 * np.sum(diff * diff, axis=-1) / scales - 0.5 * dim * np.log(scales)
-    return log_comp
+    offsets = a * gm.means - x[..., None, :]
+    scales = a * a * gm.variances + noise_var
+    log_w = np.log(gm.weights, out=np.full_like(gm.weights, -np.inf), where=gm.weights > 0)
+    log_r = log_w - 0.5 * (np.sum(offsets * offsets, axis=-1) / scales + gm.dim * np.log(scales))
+    r = np.exp(log_r - log_r.max(axis=-1, keepdims=True))
+    return offsets, scales, r / r.sum(axis=-1, keepdims=True)
 
 
 def eps_oracle(gm: GaussianMixture, s: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
@@ -94,16 +93,9 @@ def eps_oracle(gm: GaussianMixture, s: NoiseSchedule, x: np.ndarray, t: int) -> 
     """
     if not 0 <= t <= s.T:
         raise TimestepOutOfRange(f"t={t} outside 0..{s.T}")
-    x = _check_dim(gm, x)
     abar = s.alpha_bar[t]
-    centers = np.sqrt(abar) * gm.means
-    scales = abar * gm.variances + (1.0 - abar)
-    log_comp = np.log(gm.weights) + _responsibilities(x, centers, scales)
-    r = np.exp(log_comp - logsumexp(log_comp, axis=-1, keepdims=True))
-    # score = sum_i r_i (center_i - x) / scale_i
-    score = np.sum(
-        r[..., None] * (centers - x[..., None, :]) / scales[:, None], axis=-2
-    )
+    offsets, scales, r = _posterior(gm, x, np.sqrt(abar), 1.0 - abar)
+    score = np.sum(r[..., None] * offsets / scales[:, None], axis=-2)
     return -np.sqrt(1.0 - abar) * score
 
 
@@ -111,29 +103,24 @@ def x0_posterior_mean(gm: GaussianMixture, x: np.ndarray, abar: float) -> np.nda
     """E[x_0 | x_t = x] under the same variance-preserving noising as eps_oracle."""
     if not 0.0 < abar <= 1.0:
         raise ValueError(f"abar must lie in (0, 1], got {abar}")
-    x = _check_dim(gm, x)
-    centers = np.sqrt(abar) * gm.means
-    scales = abar * gm.variances + (1.0 - abar)
-    log_comp = np.log(gm.weights) + _responsibilities(x, centers, scales)
-    r = np.exp(log_comp - logsumexp(log_comp, axis=-1, keepdims=True))
-    gain = np.sqrt(abar) * gm.variances / scales  # per-component posterior gain
-    cond_mean = gm.means + gain[:, None] * (x[..., None, :] - centers)
+    # per-component conditional means m_i + gain_i (x - a m_i); Tweedie's
+    # (x + (1-abar) score) / sqrt(abar) would lose digits at small abar
+    offsets, scales, r = _posterior(gm, x, np.sqrt(abar), 1.0 - abar)
+    gain = np.sqrt(abar) * gm.variances / scales
+    cond_mean = gm.means - gain[:, None] * offsets
     return np.sum(r[..., None] * cond_mean, axis=-2)
 
 
 def velocity_oracle(gm: GaussianMixture, x: np.ndarray, sigma: float) -> np.ndarray:
-    """ODE velocity (x - x0_hat)/sigma under variance-exploding noising
-    p_sigma = sum_i w_i N(m_i, (v_i + sigma^2) I)."""
+    """ODE velocity (x - x0_hat)/sigma = -sigma * grad log p_sigma(x) under
+    variance-exploding noising p_sigma = sum_i w_i N(m_i, (v_i + sigma^2) I).
+
+    The score form avoids the cancellation in x - x0_hat at small sigma.
+    """
     if not sigma > 0.0:
         raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
-    x = _check_dim(gm, x)
-    scales = gm.variances + sigma**2
-    log_comp = np.log(gm.weights) + _responsibilities(x, gm.means, scales)
-    r = np.exp(log_comp - logsumexp(log_comp, axis=-1, keepdims=True))
-    gain = gm.variances / scales
-    cond_mean = gm.means + gain[:, None] * (x[..., None, :] - gm.means)
-    x0_hat = np.sum(r[..., None] * cond_mean, axis=-2)
-    return (x - x0_hat) / sigma
+    offsets, scales, r = _posterior(gm, x, 1.0, sigma**2)
+    return -sigma * np.sum(r[..., None] * offsets / scales[:, None], axis=-2)
 
 
 def state_independent_eps(seed: int, t: int, dim: int) -> np.ndarray:
@@ -242,7 +229,8 @@ def evaluate(
 
     On a NoiseSchedule, t is a timestep and the result a noise prediction;
     on a SigmaGrid, t is a grid index and the result the ODE velocity at
-    sigmas[t] (analytic mixture denoisers only).
+    sigmas[t] for an analytic mixture, or the state-independent pseudo-noise
+    keyed by t.
 
     With a VirtualClock, Latency wrappers charge the clock instead of
     sleeping (fast CI); without one they sleep for eval_time_ms of real
@@ -253,8 +241,9 @@ def evaluate(
             return velocity_oracle(d.gm, x, float(s.sigmas[t]))
         return eps_oracle(d.gm, s, x, t)
     if isinstance(d, StateIndependent):
-        if t < 0 or t > s.T:
-            raise TimestepOutOfRange(f"t={t} outside 0..{s.T}")
+        last = s.N if isinstance(s, SigmaGrid) else s.T
+        if not 0 <= t <= last:
+            raise TimestepOutOfRange(f"t={t} outside 0..{last}")
         return state_independent_eps(d.seed, t, d.dim)
     if isinstance(d, Perturbed):
         value = evaluate(d.inner, s, x, t, clock)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,8 @@ BAD_INPUTS = {
     "probe-x": (BIMODAL, ["probe", "--x", "foo", "--t", "1"], None),
     "bench-repeats": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--repeats", "0"], None),
     "bench-devices": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--devices", "a"], None),
+    "recompute-anchor-typo": (BIMODAL + "sampler.mode = aggressive\n"
+                              "sampler.recompute_anchor_eps = ture\n", ["sample"], None),
 }
 
 
@@ -129,6 +135,16 @@ def test_bad_input_exits_config(tmp_path, monkeypatch, capsys, case):
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    code = ("import sys, skipdiff.cli\n"
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestVerify:

@@ -114,6 +114,12 @@ class TestLoadConfig:
         # the default is always present, so only a true value outside aggressive mode fails
         assert not load_config("sampler.mode = conservative").recompute_anchor_eps
 
+    @pytest.mark.parametrize("flag, value", [("TRUE", True), ("Yes", True), ("1", True),
+                                             ("False", False), ("no", False), ("0", False)])
+    def test_recompute_anchor_eps_spellings(self, flag, value):
+        cfg = load_config(f"sampler.mode = aggressive\nsampler.recompute_anchor_eps = {flag}")
+        assert cfg.recompute_anchor_eps is value
+
     def test_euler_needs_mixture(self):
         with pytest.raises(ConfigError, match="euler"):
             load_config("sampler.family = euler\ndenoiser.kind = state-independent\ndim = 1")

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from skipdiff import (
     Perturbed,
     StateIndependent,
     VirtualClock,
+    build_sigma_grid,
     eps_oracle,
     evaluate,
     state_independent_eps,
@@ -147,6 +149,16 @@ class TestVelocityOracle:
         with pytest.raises(NonPositiveSigma):
             velocity_oracle(std_normal_1d, np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("m, v", [(0.0, 1.0), (1.0, 0.5)])
+    def test_small_sigma_closed_form(self, m, v):
+        # sigma (x - m) / (v + sigma^2) for N(m, v) data; (x - x0_hat) / sigma
+        # cancels to ~1e-13 here
+        gm = GaussianMixture(weights=[1.0], means=[[m]], variances=[v])
+        for sigma in (0.02, 0.05, 0.1):
+            for x in (3.0, -2.5, 5.0):
+                got = velocity_oracle(gm, np.array([x]), sigma)
+                np.testing.assert_allclose(got, [sigma * (x - m) / (v + sigma**2)], rtol=1e-14)
+
 
 class TestStateIndependent:
     def test_deterministic(self):
@@ -215,6 +227,14 @@ class TestEvaluateWrappers:
         got = evaluate(d, sched50, np.zeros(3), 9)
         np.testing.assert_array_equal(got, state_independent_eps(5, 9, 3))
 
+    def test_state_independent_on_sigma_grid(self):
+        grid = build_sigma_grid(16, 0.02, 20, 7)
+        d = StateIndependent(seed=5, dim=3)
+        np.testing.assert_array_equal(evaluate(d, grid, np.zeros(3), 16),
+                                      state_independent_eps(5, 16, 3))
+        with pytest.raises(TimestepOutOfRange):
+            evaluate(d, grid, np.zeros(3), 17)
+
 
 def test_batched_eval_matches_per_row(bimodal_2d, sched50):
     rng = np.random.default_rng(9)
@@ -222,3 +242,35 @@ def test_batched_eval_matches_per_row(bimodal_2d, sched50):
     batch = eps_oracle(bimodal_2d, sched50, xs, 13)
     for i in range(8):
         np.testing.assert_allclose(batch[i], eps_oracle(bimodal_2d, sched50, xs[i], 13), rtol=1e-14)
+
+
+@pytest.mark.parametrize("dim, comps", [(1, 2), (2, 3), (8, 5)])
+def test_batched_oracles_bitwise_equal_per_row(sched50, dim, comps):
+    rng = np.random.default_rng(dim * 10 + comps)
+    gm = GaussianMixture(weights=rng.dirichlet(np.ones(comps)),
+                         means=rng.normal(0, 2, (comps, dim)),
+                         variances=rng.uniform(0.2, 1.5, comps))
+    xs = rng.normal(0, 2, (16, dim))
+    for t in (0, 1, 13, 50):
+        batch = eps_oracle(gm, sched50, xs, t)
+        for i in range(len(xs)):
+            np.testing.assert_array_equal(batch[i], eps_oracle(gm, sched50, xs[i], t))
+    for sigma in (0.02, 1.5, 20.0):
+        batch = velocity_oracle(gm, xs, sigma)
+        for i in range(len(xs)):
+            np.testing.assert_array_equal(batch[i], velocity_oracle(gm, xs[i], sigma))
+
+
+def test_zero_weight_component_is_silent_and_inert(bimodal_1d, sched50):
+    padded = GaussianMixture(weights=[0.5, 0.5, 0.0], means=[[-2.0], [2.0], [7.0]],
+                             variances=[1.0, 1.0, 0.5])
+    xs = np.linspace(-4, 4, 9)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0, 1, 25, 50):
+            np.testing.assert_array_equal(eps_oracle(padded, sched50, xs, t),
+                                          eps_oracle(bimodal_1d, sched50, xs, t))
+        np.testing.assert_array_equal(velocity_oracle(padded, xs, 0.5),
+                                      velocity_oracle(bimodal_1d, xs, 0.5))
+        np.testing.assert_array_equal(x0_posterior_mean(padded, xs, 0.5),
+                                      x0_posterior_mean(bimodal_1d, xs, 0.5))

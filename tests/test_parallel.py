@@ -364,6 +364,16 @@ class TestParallelEulerWrapperStack:
         assert den.count == traj.eval_count == 16
         assert sum(r.parallel_evals for r in reports) == 16
 
+    @pytest.mark.parametrize("devices", [1, 2, 3, 4])
+    def test_state_independent_equivalence(self, grid, devices):
+        # the bit-exact equivalence oracle extends to the Euler family
+        op = Operator("euler", StateIndependent(seed=6, dim=2), grid)
+        x0 = np.array([1.5, -0.5])
+        seq = sample(op, x0, None)
+        for mode in Mode:
+            traj, _ = run_parallel(op, x0, devices, mode, None)
+            assert _ident(traj, seq)
+
 
 class TestSpeedupVirtualClock:
     """With a pure-latency denoiser the virtual clock reproduces the round
