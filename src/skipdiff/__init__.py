@@ -34,10 +34,7 @@ from .parallel import (
     RoundReport,
     execute_round,
     plan_blocks,
-    run_aggressive,
-    run_conservative,
     run_parallel,
-    run_parallel_euler,
 )
 from .rng import RngStream, Role, derive_noise
 from .schedule import (
@@ -55,9 +52,6 @@ from .sequential import (
     Trajectory,
     predicted_x0,
     sample,
-    sample_ddim,
-    sample_ddpm,
-    sample_euler,
 )
 from .transitions import (
     SkipCoeffs,

@@ -2,8 +2,9 @@
 
 Commands: sample, bench, verify, compare, dump-schedule, probe.
 
-Exit codes: 0 success; 2 configuration or input parse error; 3 verification
-failure; 4 runtime/pipeline error; 5 unknown verification suite.
+Exit codes: 0 success; 2 configuration, input parse or unwritable output
+path error; 3 verification failure; 4 runtime/pipeline error (including a
+non-finite sampler state); 5 unknown verification suite.
 
 Environment: SKIPDIFF_MAX_WORKERS caps the physical worker-pool size without
 changing any sampled output (counter-based RNG keeps results identical).
@@ -196,6 +197,10 @@ def _is_float(s: str) -> bool:
 
 
 def cmd_compare(args) -> int:
+    if args.projections < 1:
+        raise ConfigError(f"--projections: must be >= 1, got {args.projections}")
+    if args.bandwidth is not None and not args.bandwidth > 0:
+        raise ConfigError(f"--bandwidth: must be > 0, got {args.bandwidth}")
     a = SampleSet(_read_samples_csv(args.file_a), label=args.file_a)
     b = SampleSet(_read_samples_csv(args.file_b), label=args.file_b)
     if args.bandwidth is not None:
@@ -292,6 +297,9 @@ def main(argv=None) -> int:
         return EXIT_SUITE_NOT_FOUND
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # inputs are read under ConfigError/ParseError: this is an output path
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except SkipDiffError as exc:
         print(f"error: {exc}", file=sys.stderr)

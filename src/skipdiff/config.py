@@ -151,23 +151,30 @@ def _get_int(kv, key, minimum=None):
     return val
 
 
+def _finite(text: str) -> float:
+    val = float(text)
+    if not np.isfinite(val):
+        raise ValueError(f"non-finite value {text!r}")
+    return val
+
+
 def _get_float(kv, key):
     try:
-        return float(kv[key])
+        return _finite(kv[key])
     except ValueError:
-        raise ConfigError(f"{key}: expected number, got {kv[key]!r}") from None
+        raise ConfigError(f"{key}: expected finite number, got {kv[key]!r}") from None
 
 
 def _get_floats(kv, key):
     try:
-        return [float(v) for v in kv[key].replace(",", " ").split()]
+        return [_finite(v) for v in kv[key].replace(",", " ").split()]
     except ValueError:
-        raise ConfigError(f"{key}: expected number list, got {kv[key]!r}") from None
+        raise ConfigError(f"{key}: expected finite number list, got {kv[key]!r}") from None
 
 
 def load_config(text: str) -> RunConfig:
-    kv = dict(_DEFAULTS)
-    kv.update(parse_kv_text(text))
+    given = parse_kv_text(text)
+    kv = {**_DEFAULTS, **given}
     cfg = RunConfig(raw=dict(kv))
 
     try:
@@ -222,6 +229,8 @@ def load_config(text: str) -> RunConfig:
         cfg.rule = VarianceRule.eta_scaled(eta)
     else:
         raise ConfigError(f"sampler.rule: unknown rule {rule_name!r}")
+    if "sampler.eta" in given and rule_name != "eta":
+        raise ConfigError("sampler.eta applies to sampler.rule = eta only")
 
     if "sampler.subsequence" in kv:
         if cfg.family == "euler":
@@ -236,7 +245,7 @@ def load_config(text: str) -> RunConfig:
         weights = _get_floats(kv, "mixture.weights")
         variances = _get_floats(kv, "mixture.variances")
         try:
-            means = [[float(v) for v in vec.split()] for vec in kv["mixture.means"].split(";")]
+            means = [[_finite(v) for v in vec.split()] for vec in kv["mixture.means"].split(";")]
             cfg.mixture = GaussianMixture(
                 weights=np.array(weights), means=np.array(means), variances=np.array(variances)
             )
@@ -244,7 +253,11 @@ def load_config(text: str) -> RunConfig:
             raise ConfigError(f"mixture: {exc}") from exc
         cfg.dim = cfg.mixture.dim
         cfg.denoiser = AnalyticEps(cfg.mixture)
+        if "denoiser.seed" in given:
+            raise ConfigError("denoiser.seed applies to denoiser.kind = state-independent only")
     elif kv["denoiser.kind"] == "state-independent":
+        if any(key.startswith("mixture.") for key in given):
+            raise ConfigError("mixture.* keys apply to denoiser.kind = mixture only")
         if "dim" not in kv:
             raise ConfigError("dim is required for the state-independent denoiser")
         cfg.dim = _get_int(kv, "dim", 1)
@@ -257,6 +270,8 @@ def load_config(text: str) -> RunConfig:
     scale = _get_float(kv, "denoiser.perturb_scale")
     if scale > 0:
         cfg.denoiser = Perturbed(cfg.denoiser, scale)
+    if "latency.overhead_ms" in given and "latency.eval_ms" not in given:
+        raise ConfigError("latency.overhead_ms applies only together with latency.eval_ms")
     if "latency.eval_ms" in kv:
         cfg.latency = LatencyModel(
             eval_time_ms=_get_float(kv, "latency.eval_ms"),

@@ -45,6 +45,10 @@ class PlanMismatch(SkipDiffError):
     """Executed trajectory disagrees with the block plan."""
 
 
+class NonFiniteState(SkipDiffError):
+    """A skip produced a NaN or infinite state."""
+
+
 class WorkerFailure(SkipDiffError):
     """A worker task raised; carries the first underlying error."""
 

@@ -28,12 +28,11 @@ from enum import Enum
 
 import numpy as np
 
-from .denoiser import AnalyticEps, Denoiser, GaussianMixture, VirtualClock, evaluate, latency_of
+from .denoiser import Denoiser, VirtualClock, evaluate, latency_of
 from .errors import ConfigError, InvalidPlanParams, PlanMismatch, WorkerFailure
 from .rng import RngStream, Role
 from .schedule import NoiseSchedule, SigmaGrid
 from .sequential import Operator, Trajectory, _now_ms
-from .transitions import VarianceRule
 
 WORKER_CAP_ENV = "SKIPDIFF_MAX_WORKERS"
 
@@ -245,65 +244,3 @@ def run_parallel(
         raise PlanMismatch(f"{traj.eval_count} evals, plan expected {expected}")
     traj.wall_ms = _now_ms(clock) - start
     return traj, reports
-
-
-def run_aggressive(
-    s: NoiseSchedule,
-    d: Denoiser,
-    x_T: np.ndarray,
-    devices: int,
-    rule: VarianceRule,
-    stream: RngStream,
-    *,
-    clock: VirtualClock | None = None,
-    workers: int | None = None,
-    submit_order_seed: int | None = None,
-    recompute_anchor_eps: bool = False,
-    update_family: str = "ddim",
-) -> tuple[Trajectory, list[RoundReport]]:
-    """Aggressive draft-and-refine run on every timestep T..0 (see
-    run_parallel). `update_family` selects the block update: "ddim"
-    (default) or "ddpm" (posterior skips; always stochastic, `rule`
-    ignored)."""
-    return run_parallel(
-        Operator(update_family, d, s, rule=rule), x_T, devices, Mode.AGGRESSIVE, stream,
-        clock=clock, workers=workers, submit_order_seed=submit_order_seed,
-        recompute_anchor_eps=recompute_anchor_eps,
-    )
-
-
-def run_conservative(
-    s: NoiseSchedule,
-    d: Denoiser,
-    x_T: np.ndarray,
-    devices: int,
-    rule: VarianceRule,
-    stream: RngStream,
-    *,
-    clock: VirtualClock | None = None,
-    workers: int | None = None,
-    submit_order_seed: int | None = None,
-    update_family: str = "ddim",
-) -> tuple[Trajectory, list[RoundReport]]:
-    """Conservative run: stand-alone anchor evaluation, then one parallel
-    round per block, pushing k+1 steps."""
-    return run_parallel(
-        Operator(update_family, d, s, rule=rule), x_T, devices, Mode.CONSERVATIVE, stream,
-        clock=clock, workers=workers, submit_order_seed=submit_order_seed,
-    )
-
-
-def run_parallel_euler(
-    g: SigmaGrid,
-    gm: GaussianMixture,
-    x_init: np.ndarray,
-    devices: int,
-    mode: Mode,
-    *,
-    workers: int | None = None,
-) -> tuple[Trajectory, list[RoundReport]]:
-    """Euler-family variant of the two schedulers on a sigma grid, using the
-    analytic velocity oracle. Deterministic; trajectory timesteps count
-    remaining grid intervals, as in sample_euler."""
-    return run_parallel(Operator("euler", AnalyticEps(gm), g), x_init, devices, mode, None,
-                        workers=workers)

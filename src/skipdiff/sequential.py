@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import AnalyticEps, Denoiser, GaussianMixture, VirtualClock, evaluate
-from .errors import InvalidSubsequence
+from .denoiser import Denoiser, VirtualClock, evaluate
+from .errors import InvalidSubsequence, NonFiniteState
 from .rng import RngStream, Role
 from .schedule import NoiseSchedule, SigmaGrid
 from .transitions import VarianceRule, ddim_skip, ddpm_skip_sample, euler_skip
@@ -108,13 +108,19 @@ class Operator:
         return stream.derive(self.labels[i], role, shape)
 
     def skip(self, i: int, k: int, x: np.ndarray, v: np.ndarray, z) -> np.ndarray:
-        """Jump from position i to position i+k with the prediction v made at i."""
+        """Jump from position i to position i+k with the prediction v made at
+        i. Every transition and draft of both drivers passes through here, so
+        a non-finite result is caught at the step that produced it."""
         t, u = self.labels[i], self.labels[i + k]
         if self.family == "euler":
-            return euler_skip(self.levels, self.level(i), t - u, x, v)
-        if self.family == "ddim":
-            return ddim_skip(self.levels, t, t - u, x, v, self.rule, z)
-        return ddpm_skip_sample(self.levels, t, t - u, x, predicted_x0(self.levels, x, v, t), z)
+            out = euler_skip(self.levels, self.level(i), t - u, x, v)
+        elif self.family == "ddim":
+            out = ddim_skip(self.levels, t, t - u, x, v, self.rule, z)
+        else:
+            out = ddpm_skip_sample(self.levels, t, t - u, x, predicted_x0(self.levels, x, v, t), z)
+        if not np.isfinite(out).all():
+            raise NonFiniteState(f"{self.family} skip from t={t} to t={u} gave a non-finite state")
+        return out
 
 
 def sample(
@@ -138,35 +144,3 @@ def sample(
         traj.states.append((op.labels[i + 1], x))
     traj.wall_ms = _now_ms(clock) - start
     return traj
-
-
-def sample_ddpm(
-    s: NoiseSchedule,
-    d: Denoiser,
-    x_T: np.ndarray,
-    noise: RngStream,
-    clock: VirtualClock | None = None,
-) -> Trajectory:
-    """Ancestral DDPM sampling: T unit-step posterior transitions."""
-    return sample(Operator("ddpm", d, s), x_T, noise, clock)
-
-
-def sample_ddim(
-    s: NoiseSchedule,
-    d: Denoiser,
-    x_T: np.ndarray,
-    rule: VarianceRule,
-    noise: RngStream,
-    subsequence=None,
-    clock: VirtualClock | None = None,
-) -> Trajectory:
-    """DDIM sampling along a timestep subsequence (default: every step)."""
-    return sample(Operator("ddim", d, s, subsequence, rule), x_T, noise, clock)
-
-
-def sample_euler(g: SigmaGrid, gm: GaussianMixture, x_init: np.ndarray) -> Trajectory:
-    """Plain Euler integration of dx/dsigma = (x - x0_hat)/sigma down the grid.
-
-    Trajectory timesteps count remaining grid intervals (N at the start, 0 at
-    the end), keeping the t-decreasing-to-0 convention."""
-    return sample(Operator("euler", AnalyticEps(gm), g), x_init, None)

@@ -10,10 +10,10 @@ import numpy as np
 
 from .denoiser import StateIndependent, eps_oracle, standard_normal_mixture
 from .errors import SuiteNotFound
-from .parallel import Mode, plan_blocks, run_aggressive, run_conservative
+from .parallel import Mode, plan_blocks, run_parallel
 from .rng import RngStream, Role, derive_noise
 from .schedule import build_cosine, build_linear_beta, default_schedule
-from .sequential import sample_ddim
+from .sequential import Operator, sample
 from .transitions import (
     VarianceRule,
     ddim_skip,
@@ -37,16 +37,16 @@ def suite_equivalence():
         stream = RngStream(seed=T)
         x_T = derive_noise(stream, T, Role.INIT, 2)
         for rule in rules:
-            seq = sample_ddim(s, den, x_T, rule, stream)
+            op = Operator("ddim", den, s, rule=rule)
+            seq = sample(op, x_T, stream)
             for devices in (1, 2, 3, 4):
-                for label, runner in (("aggressive", run_aggressive),
-                                      ("conservative", run_conservative)):
-                    traj, _ = runner(s, den, x_T, devices, rule, stream)
+                for mode in Mode:
+                    traj, _ = run_parallel(op, x_T, devices, mode, stream)
                     same = traj.timesteps() == seq.timesteps() and all(
                         np.array_equal(a[1], b[1]) for a, b in zip(seq.states, traj.states)
                     )
                     results.append(_result(
-                        f"equivalence[{label},T={T},devices={devices},rule={rule.kind.value}]",
+                        f"equivalence[{mode.value},T={T},devices={devices},rule={rule.kind.value}]",
                         same,
                     ))
     return results
@@ -120,18 +120,17 @@ def suite_accounting():
         den = StateIndependent(seed=3, dim=1)
         stream = RngStream(seed=9)
         x_T = derive_noise(stream, T, Role.INIT, 1)
-        rule = VarianceRule.deterministic()
+        op = Operator("ddim", den, s)
         for devices in (1, 2, 3, 4):
-            ta, ra = run_aggressive(s, den, x_T, devices, rule, stream)
-            tc, rc = run_conservative(s, den, x_T, devices, rule, stream)
-            ok = (
-                ta.eval_count == T + 1
-                and tc.eval_count == T
-                and len(ra) == 1 + math.ceil(T / devices)
-                and len(rc) == 2 * math.ceil(T / (devices + 1))
-                and plan_blocks(T, devices, Mode.AGGRESSIVE).total_rounds == len(ra)
-                and plan_blocks(T, devices, Mode.CONSERVATIVE).total_rounds == len(rc)
-            )
+            laws = {
+                Mode.AGGRESSIVE: (T + 1, 1 + math.ceil(T / devices)),
+                Mode.CONSERVATIVE: (T, 2 * math.ceil(T / (devices + 1))),
+            }
+            ok = True
+            for mode in Mode:
+                traj, reports = run_parallel(op, x_T, devices, mode, stream)
+                ok = ok and (traj.eval_count, len(reports)) == laws[mode] and (
+                    len(reports) == plan_blocks(T, devices, mode).total_rounds)
             results.append(_result(f"accounting[T={T},devices={devices}]", ok))
     return results
 

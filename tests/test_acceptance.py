@@ -16,6 +16,8 @@ from skipdiff import (
     GaussianMixture,
     Latency,
     LatencyModel,
+    Mode,
+    Operator,
     RngStream,
     Role,
     SampleSet,
@@ -28,10 +30,8 @@ from skipdiff import (
     ddpm_skip_sample,
     default_schedule,
     euler_skip,
-    run_aggressive,
-    run_conservative,
-    sample_ddim,
-    sample_euler,
+    run_parallel,
+    sample,
     sliced_w2,
     standard_normal_mixture,
 )
@@ -61,13 +61,13 @@ def test_01_equivalence_oracle(capsys):
         stream = RngStream(seed=T)
         x_T = derive_noise(stream, T, Role.INIT, 2)
         for rule in (VarianceRule.deterministic(), VarianceRule.ddpm_induced()):
-            seq = sample_ddim(s, den, x_T, rule, stream)
+            op = Operator("ddim", den, s, rule=rule)
+            seq = sample(op, x_T, stream)
             for devices in (1, 2, 3, 4):
-                for label, runner in (("aggressive", run_aggressive),
-                                      ("conservative", run_conservative)):
-                    traj, _ = runner(s, den, x_T, devices, rule, stream)
+                for mode in Mode:
+                    traj, _ = run_parallel(op, x_T, devices, mode, stream)
                     if not _ident(traj, seq):
-                        failures.append((label, T, devices, rule.kind.value))
+                        failures.append((mode.value, T, devices, rule.kind.value))
     _report(capsys, "equivalence oracle (bit-identical to sequential DDIM)",
             not failures, f"failures={failures}" if failures else "48 configurations")
 
@@ -183,15 +183,16 @@ def test_05_speedup_laws(capsys):
             best = min(best, (time.monotonic() - t0) * 1000.0)
         return best
 
-    seq_ms = timed(lambda: sample_ddim(s, den, x_T, rule, stream))
+    op = Operator("ddim", den, s, rule=rule)
+    seq_ms = timed(lambda: sample(op, x_T, stream))
 
     fails, details = [], []
     for devices in (2, 3, 4):
-        for label, runner, rounds in (
-            ("aggressive", run_aggressive, 1 + math.ceil(T / devices)),
-            ("conservative", run_conservative, 2 * math.ceil(T / (devices + 1))),
+        for label, mode, rounds in (
+            ("aggressive", Mode.AGGRESSIVE, 1 + math.ceil(T / devices)),
+            ("conservative", Mode.CONSERVATIVE, 2 * math.ceil(T / (devices + 1))),
         ):
-            par_ms = timed(lambda: runner(s, den, x_T, devices, rule, stream))
+            par_ms = timed(lambda: run_parallel(op, x_T, devices, mode, stream))
             speedup = seq_ms / par_ms
             theory = T / rounds
             details.append(f"{label}/d{devices}: {speedup:.2f}x (theory {theory:.2f}x)")
@@ -210,20 +211,19 @@ def test_06_distributional_quality(capsys):
     s = default_schedule(50)
     gm = GaussianMixture(weights=[0.5, 0.5], means=[[-2.0, 0.0], [2.0, 0.0]],
                          variances=[1.0, 1.0])
-    den = AnalyticEps(gm)
-    rule = VarianceRule.deterministic()
+    op = Operator("ddim", AnalyticEps(gm), s, rule=VarianceRule.deterministic())
 
-    def batch(seed, runner=None):
+    def batch(seed, mode=None):
         stream = RngStream(seed=seed)
         x_T = derive_noise(stream, 50, Role.INIT, (n, 2))
-        if runner is None:
-            return sample_ddim(s, den, x_T, rule, stream).final
-        return runner(s, den, x_T, 4, rule, stream)[0].final
+        if mode is None:
+            return sample(op, x_T, stream).final
+        return run_parallel(op, x_T, 4, mode, stream)[0].final
 
     seq_a, seq_b = batch(0), batch(1)
     null = sliced_w2(SampleSet(seq_a), SampleSet(seq_b))
-    w2_agg = sliced_w2(SampleSet(batch(0, run_aggressive)), SampleSet(seq_a))
-    w2_con = sliced_w2(SampleSet(batch(0, run_conservative)), SampleSet(seq_a))
+    w2_agg = sliced_w2(SampleSet(batch(0, Mode.AGGRESSIVE)), SampleSet(seq_a))
+    w2_con = sliced_w2(SampleSet(batch(0, Mode.CONSERVATIVE)), SampleSet(seq_a))
     ok = w2_agg <= 2 * null and w2_con <= 2 * null
     _report(capsys, "distributional quality (sliced-W2 vs seed-null)", ok,
             f"null={null:.4g} aggressive={w2_agg:.4g} conservative={w2_con:.4g}")
@@ -239,7 +239,7 @@ def test_07_euler_convergence(capsys):
 
     def err(N):
         g = build_sigma_grid(N, smin, smax, 1.0)
-        return abs(sample_euler(g, gm, x_start).final[0] - exact)
+        return abs(sample(Operator("euler", AnalyticEps(gm), g), x_start, None).final[0] - exact)
 
     e16, e32, e64 = err(16), err(32), err(64)
     r1, r2 = e16 / e32, e32 / e64
@@ -257,10 +257,10 @@ def test_08_accounting_laws(capsys):
         den = StateIndependent(seed=3, dim=1)
         stream = RngStream(seed=9)
         x_T = derive_noise(stream, T, Role.INIT, 1)
-        rule = VarianceRule.deterministic()
+        op = Operator("ddim", den, s, rule=VarianceRule.deterministic())
         for devices in (1, 2, 3, 4):
-            ta, ra = run_aggressive(s, den, x_T, devices, rule, stream)
-            tc, rc = run_conservative(s, den, x_T, devices, rule, stream)
+            ta, ra = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream)
+            tc, rc = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream)
             if not (ta.eval_count == T + 1 and tc.eval_count == T
                     and len(ra) == 1 + math.ceil(T / devices)
                     and len(rc) == 2 * math.ceil(T / (devices + 1))):
@@ -274,20 +274,19 @@ def test_09_scheduling_order_invariance(capsys):
     worker-pool sizes executing the same plan."""
     s = default_schedule(50)
     gm = GaussianMixture(weights=[0.5, 0.5], means=[[-2.0], [2.0]], variances=[1.0, 1.0])
-    den = AnalyticEps(gm)
-    rule = VarianceRule.ddpm_induced()
+    op = Operator("ddim", AnalyticEps(gm), s, rule=VarianceRule.ddpm_induced())
     stream = RngStream(seed=13)
     x_T = derive_noise(stream, 50, Role.INIT, 1)
     fails = []
-    for label, runner in (("aggressive", run_aggressive), ("conservative", run_conservative)):
-        ref, _ = runner(s, den, x_T, 4, rule, stream)
+    for mode in Mode:
+        ref, _ = run_parallel(op, x_T, 4, mode, stream)
         for trial in range(20):
-            traj, _ = runner(s, den, x_T, 4, rule, stream, submit_order_seed=trial + 1)
+            traj, _ = run_parallel(op, x_T, 4, mode, stream, submit_order_seed=trial + 1)
             if not _ident(traj, ref):
-                fails.append((label, "order", trial))
+                fails.append((mode.value, "order", trial))
         for workers in (1, 2, 8):
-            traj, _ = runner(s, den, x_T, 4, rule, stream, workers=workers)
+            traj, _ = run_parallel(op, x_T, 4, mode, stream, workers=workers)
             if not _ident(traj, ref):
-                fails.append((label, "workers", workers))
+                fails.append((mode.value, "workers", workers))
     _report(capsys, "scheduling-order invariance (20 shuffles + pool sizes)",
             not fails, f"failures={fails}" if fails else "bit-identical throughout")

@@ -101,6 +101,17 @@ class TestSample:
         assert main(["sample", "--config", cfg]) == EXIT_RUNTIME
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("mode", ["sequential", "aggressive"])
+    def test_non_finite_state_exits_runtime(self, tmp_path, capsys, mode):
+        # a finite mean near the float limit overflows the oracle
+        cfg = write_cfg(tmp_path, (
+            f"mixture.means = 1e308\nsampler.mode = {mode}\nsampler.devices = 2\n"
+            f"output.samples = {tmp_path}/p.csv\n"
+        ))
+        assert main(["sample", "--config", cfg]) == EXIT_RUNTIME
+        assert "non-finite state" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_subsequence_applies_in_parallel_modes(self, tmp_path):
         for mode, evals, rounds in (("aggressive", 3, 2), ("conservative", 2, 2)):
@@ -123,6 +134,24 @@ BAD_INPUTS = {
     "bench-devices": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--devices", "a"], None),
     "recompute-anchor-typo": (BIMODAL + "sampler.mode = aggressive\n"
                               "sampler.recompute_anchor_eps = ture\n", ["sample"], None),
+    "mixture-weights-nan": ("mixture.weights = nan, 0.5\nmixture.means = -2; 2\n"
+                            "mixture.variances = 1, 1\n", ["sample"], None),
+    "eta-without-eta-rule": (BIMODAL + "sampler.eta = 0.3\n", ["sample"], None),
+    "overhead-without-eval": (BIMODAL + "latency.overhead_ms = 1\n", ["sample"], None),
+    "mixture-key-state-independent": ("denoiser.kind = state-independent\ndim = 1\n"
+                                      "mixture.weights = 1\n", ["sample"], None),
+    "denoiser-seed-mixture": (BIMODAL + "denoiser.seed = 3\n", ["sample"], None),
+    # /dev/null is not a directory, so nothing can be created below it
+    "output-samples-path": (BIMODAL + "schedule.T = 4\noutput.samples = /dev/null/s.csv\n",
+                            ["sample"], None),
+    "output-report-path": (BIMODAL + "schedule.T = 4\noutput.report = /dev/null/r.json\n",
+                           ["sample"], None),
+    "output-rounds-path": (BIMODAL + "schedule.T = 4\noutput.rounds = /dev/null/r.csv\n",
+                           ["sample"], None),
+    "bench-out-path": (BIMODAL + "latency.eval_ms = 1\nschedule.T = 4\n",
+                       ["bench", "--devices", "2", "--repeats", "1", "--out", "/dev/null/b.csv"],
+                       None),
+    "dump-schedule-out-path": (BIMODAL, ["dump-schedule", "--out", "/dev/null/d.csv"], None),
 }
 
 
@@ -135,6 +164,19 @@ def test_bad_input_exits_config(tmp_path, monkeypatch, capsys, case):
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["compare", "{csv}", "{csv}", "--projections", "0"],
+    ["compare", "{csv}", "{csv}", "--bandwidth", "-1"],
+    ["verify", "coeffs", "--json", "/dev/null/v.json"],
+], ids=["compare-projections", "compare-bandwidth", "verify-json"])
+def test_bad_flag_exits_config(tmp_path, capsys, command):
+    samples = tmp_path / "s.csv"
+    samples.write_text("seed,dim0\n0,0.5\n1,-0.5\n2,1.5\n")
+    assert main([arg.format(csv=samples) for arg in command]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and command[-1] in err  # names the bad value or path
 
 
 def test_cli_import_loads_no_scipy():
@@ -152,9 +194,10 @@ class TestVerify:
         assert main(["verify", "nope"]) == EXIT_SUITE_NOT_FOUND
         assert "unknown suite" in capsys.readouterr().err
 
-    def test_coeffs_suite_passes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("suite", ["coeffs", "equivalence", "accounting"])
+    def test_coeffs_suite_passes(self, tmp_path, capsys, suite):
         out = tmp_path / "v.json"
-        assert main(["verify", "coeffs", "--json", str(out)]) == EXIT_OK
+        assert main(["verify", suite, "--json", str(out)]) == EXIT_OK
         printed = capsys.readouterr().out
         assert "PASS" in printed
         payload = json.loads(out.read_text())

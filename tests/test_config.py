@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,9 @@ class TestLoadConfig:
         "sampler.devices = 0",
         "denoiser.kind = resnet",
         "samples = 0",
+        "mixture.weights = nan",
+        "mixture.means = inf 0",
+        "grid.rho = nan",
     ])
     def test_rejections(self, text):
         with pytest.raises(ConfigError):
@@ -128,6 +133,12 @@ class TestLoadConfig:
         cfg = load_config("seed = 7")
         assert cfg.raw["seed"] == "7"
         assert cfg.raw["schedule.T"] == "50"  # defaults echoed for reproducibility
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cfg = load_config(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    assert (cfg.family, cfg.mode, cfg.devices) == ("ddim", "aggressive", 3)
 
 
 def test_load_config_file(tmp_path):

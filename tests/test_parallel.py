@@ -17,14 +17,8 @@ from skipdiff import (
     default_schedule,
     execute_round,
     plan_blocks,
-    run_aggressive,
-    run_conservative,
     run_parallel,
-    run_parallel_euler,
     sample,
-    sample_ddim,
-    sample_ddpm,
-    sample_euler,
 )
 from skipdiff.errors import InvalidPlanParams, WorkerFailure
 from skipdiff.parallel import WORKER_CAP_ENV
@@ -103,9 +97,10 @@ class TestEquivalence:
         den = StateIndependent(seed=11, dim=2)
         stream = RngStream(seed=T)
         x_T = derive_noise(stream, T, Role.INIT, 2)
-        seq = sample_ddim(s, den, x_T, rule, stream)
-        agg, _ = run_aggressive(s, den, x_T, devices, rule, stream)
-        con, _ = run_conservative(s, den, x_T, devices, rule, stream)
+        op = Operator("ddim", den, s, rule=rule)
+        seq = sample(op, x_T, stream)
+        agg, _ = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream)
+        con, _ = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream)
         assert _ident(agg, seq)
         assert _ident(con, seq)
 
@@ -113,14 +108,11 @@ class TestEquivalence:
         den = StateIndependent(seed=7, dim=1)
         stream = RngStream(seed=1)
         x_T = derive_noise(stream, 50, Role.INIT, 1)
-        seq = sample_ddpm(sched50, den, x_T, stream)
+        op = Operator("ddpm", den, sched50)
+        seq = sample(op, x_T, stream)
         for devices in (1, 3):
-            agg, _ = run_aggressive(sched50, den, x_T, devices,
-                                    VarianceRule.deterministic(), stream,
-                                    update_family="ddpm")
-            con, _ = run_conservative(sched50, den, x_T, devices,
-                                      VarianceRule.deterministic(), stream,
-                                      update_family="ddpm")
+            agg, _ = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream)
+            con, _ = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream)
             assert _ident(agg, seq)
             assert _ident(con, seq)
 
@@ -151,13 +143,13 @@ class TestAccounting:
         den = Counting(StateIndependent(seed=3, dim=1))
         stream = RngStream(seed=9)
         x_T = derive_noise(stream, T, Role.INIT, 1)
-        rule = VarianceRule.deterministic()
+        op = Operator("ddim", den, s, rule=VarianceRule.deterministic())
         den.count = 0
-        ta, ra = run_aggressive(s, den, x_T, devices, rule, stream)
+        ta, ra = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream)
         assert den.count == ta.eval_count == T + 1
         assert len(ra) == 1 + math.ceil(T / devices)
         den.count = 0
-        tc, rc = run_conservative(s, den, x_T, devices, rule, stream)
+        tc, rc = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream)
         assert den.count == tc.eval_count == T
         assert len(rc) == 2 * math.ceil(T / (devices + 1))
 
@@ -165,7 +157,8 @@ class TestAccounting:
         den = StateIndependent(seed=3, dim=1)
         stream = RngStream(seed=9)
         x_T = derive_noise(stream, 50, Role.INIT, 1)
-        _, reports = run_aggressive(sched50, den, x_T, 4, VarianceRule.deterministic(), stream)
+        op = Operator("ddim", den, sched50, rule=VarianceRule.deterministic())
+        _, reports = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream)
         assert reports[0].parallel_evals == 1  # initial anchor round
         assert all(r.parallel_evals <= 4 for r in reports)
         assert sum(r.parallel_evals for r in reports) == 51
@@ -174,10 +167,10 @@ class TestAccounting:
         den = AnalyticEps(bimodal_1d)
         stream = RngStream(seed=5)
         x_T = derive_noise(stream, 50, Role.INIT, 1)
-        rule = VarianceRule.deterministic()
-        base, _ = run_aggressive(sched50, den, x_T, 3, rule, stream)
-        fresh, reports = run_aggressive(sched50, den, x_T, 3, rule, stream,
-                                        recompute_anchor_eps=True)
+        op = Operator("ddim", den, sched50, rule=VarianceRule.deterministic())
+        base, _ = run_parallel(op, x_T, 3, Mode.AGGRESSIVE, stream)
+        fresh, reports = run_parallel(op, x_T, 3, Mode.AGGRESSIVE, stream,
+                                      recompute_anchor_eps=True)
         blocks = plan_blocks(50, 3, Mode.AGGRESSIVE).blocks
         interior = sum(1 for t, _ in blocks if t != 50)
         assert fresh.eval_count == 51 + interior
@@ -237,21 +230,21 @@ class TestDeterminism:
         den = AnalyticEps(bimodal_1d)
         stream = RngStream(seed=13)
         x_T = derive_noise(stream, 50, Role.INIT, 1)
-        rule = VarianceRule.ddpm_induced()
-        ref, _ = run_aggressive(sched50, den, x_T, 4, rule, stream)
+        op = Operator("ddim", den, sched50, rule=VarianceRule.ddpm_induced())
+        ref, _ = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream)
         for order_seed in (1, 2, 3):
-            traj, _ = run_aggressive(sched50, den, x_T, 4, rule, stream,
-                                     submit_order_seed=order_seed)
+            traj, _ = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream,
+                                   submit_order_seed=order_seed)
             assert _ident(traj, ref)
 
     def test_worker_count_invariance(self, sched50, bimodal_1d):
         den = AnalyticEps(bimodal_1d)
         stream = RngStream(seed=13)
         x_T = derive_noise(stream, 50, Role.INIT, 1)
-        rule = VarianceRule.ddpm_induced()
-        ref, _ = run_conservative(sched50, den, x_T, 4, rule, stream)
+        op = Operator("ddim", den, sched50, rule=VarianceRule.ddpm_induced())
+        ref, _ = run_parallel(op, x_T, 4, Mode.CONSERVATIVE, stream)
         for workers in (1, 2, 8):
-            traj, _ = run_conservative(sched50, den, x_T, 4, rule, stream, workers=workers)
+            traj, _ = run_parallel(op, x_T, 4, Mode.CONSERVATIVE, stream, workers=workers)
             assert _ident(traj, ref)
 
     def test_env_worker_cap(self, sched50, bimodal_1d, monkeypatch):
@@ -259,10 +252,10 @@ class TestDeterminism:
         den = AnalyticEps(bimodal_1d)
         stream = RngStream(seed=13)
         x_T = derive_noise(stream, 50, Role.INIT, 1)
-        rule = VarianceRule.ddpm_induced()
-        capped, _ = run_aggressive(sched50, den, x_T, 4, rule, stream)
+        op = Operator("ddim", den, sched50, rule=VarianceRule.ddpm_induced())
+        capped, _ = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream)
         monkeypatch.delenv(WORKER_CAP_ENV)
-        ref, _ = run_aggressive(sched50, den, x_T, 4, rule, stream)
+        ref, _ = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream)
         assert _ident(capped, ref)
 
 
@@ -271,15 +264,14 @@ class TestFidelity:
         # conservative refreshes the anchor eps every block, so its terminal
         # deviation from sequential DDIM should not exceed the aggressive one
         # (checked in the mean over paired seeds)
-        den = AnalyticEps(bimodal_1d)
-        rule = VarianceRule.deterministic()
+        op = Operator("ddim", AnalyticEps(bimodal_1d), sched50, rule=VarianceRule.deterministic())
         agg_dev, con_dev = [], []
         for seed in range(20):
             stream = RngStream(seed=seed)
             x_T = derive_noise(stream, 50, Role.INIT, 1)
-            seq = sample_ddim(sched50, den, x_T, rule, stream)
-            ta, _ = run_aggressive(sched50, den, x_T, 3, rule, stream)
-            tc, _ = run_conservative(sched50, den, x_T, 3, rule, stream)
+            seq = sample(op, x_T, stream)
+            ta, _ = run_parallel(op, x_T, 3, Mode.AGGRESSIVE, stream)
+            tc, _ = run_parallel(op, x_T, 3, Mode.CONSERVATIVE, stream)
             agg_dev.append(abs(ta.final[0] - seq.final[0]))
             con_dev.append(abs(tc.final[0] - seq.final[0]))
         assert np.mean(con_dev) <= np.mean(agg_dev)
@@ -288,12 +280,11 @@ class TestFidelity:
     def test_deviation_shrinks_with_fewer_devices(self, sched50, bimodal_1d):
         # devices=1 degenerates to sequential DDIM exactly (every skip is a
         # unit step and the cached eps is the true one)
-        den = AnalyticEps(bimodal_1d)
-        rule = VarianceRule.deterministic()
+        op = Operator("ddim", AnalyticEps(bimodal_1d), sched50, rule=VarianceRule.deterministic())
         stream = RngStream(seed=3)
         x_T = derive_noise(stream, 50, Role.INIT, 1)
-        seq = sample_ddim(sched50, den, x_T, rule, stream)
-        traj, _ = run_conservative(sched50, den, x_T, 1, rule, stream)
+        seq = sample(op, x_T, stream)
+        traj, _ = run_parallel(op, x_T, 1, Mode.CONSERVATIVE, stream)
         assert _ident(traj, seq)
 
 
@@ -305,27 +296,31 @@ class TestParallelEuler:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_accounting_and_shape(self, grid, bimodal_1d, mode):
-        traj, reports = run_parallel_euler(grid, bimodal_1d, np.array([1.5]), 3, mode)
+        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
+        traj, reports = run_parallel(op, np.array([1.5]), 3, mode, None)
         assert traj.timesteps() == list(range(16, -1, -1))
         assert traj.eval_count == 16  # sigma=0 velocity tasks are dropped
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_close_to_sequential(self, grid, bimodal_1d, mode):
+        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
         x0 = np.array([1.5])
-        seq = sample_euler(grid, bimodal_1d, x0)
-        traj, _ = run_parallel_euler(grid, bimodal_1d, x0, 3, mode)
+        seq = sample(op, x0, None)
+        traj, _ = run_parallel(op, x0, 3, mode, None)
         assert abs(traj.final[0] - seq.final[0]) < 0.05
 
     def test_devices_1_matches_sequential(self, grid, bimodal_1d):
+        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
         x0 = np.array([1.5])
-        seq = sample_euler(grid, bimodal_1d, x0)
-        traj, _ = run_parallel_euler(grid, bimodal_1d, x0, 1, Mode.CONSERVATIVE)
+        seq = sample(op, x0, None)
+        traj, _ = run_parallel(op, x0, 1, Mode.CONSERVATIVE, None)
         for (_, xa), (_, xb) in zip(seq.states, traj.states):
             np.testing.assert_allclose(xa, xb, rtol=1e-12)
 
     def test_deterministic(self, grid, bimodal_1d):
-        a, _ = run_parallel_euler(grid, bimodal_1d, np.array([1.5]), 4, Mode.AGGRESSIVE)
-        b, _ = run_parallel_euler(grid, bimodal_1d, np.array([1.5]), 4, Mode.AGGRESSIVE)
+        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
+        a, _ = run_parallel(op, np.array([1.5]), 4, Mode.AGGRESSIVE, None)
+        b, _ = run_parallel(op, np.array([1.5]), 4, Mode.AGGRESSIVE, None)
         assert _ident(a, b)
 
 
@@ -386,8 +381,8 @@ class TestSpeedupVirtualClock:
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
-        traj, reports = run_aggressive(s, den, x_T, devices, VarianceRule.deterministic(),
-                                       stream, clock=clock)
+        op = Operator("ddim", den, s, rule=VarianceRule.deterministic())
+        traj, reports = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream, clock=clock)
         assert traj.wall_ms == len(reports) * eval_ms == 17 * eval_ms
 
     def test_conservative_wall(self):
@@ -397,8 +392,8 @@ class TestSpeedupVirtualClock:
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
-        traj, reports = run_conservative(s, den, x_T, devices, VarianceRule.deterministic(),
-                                         stream, clock=clock)
+        op = Operator("ddim", den, s, rule=VarianceRule.deterministic())
+        traj, reports = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream, clock=clock)
         assert traj.wall_ms == len(reports) * eval_ms == 24 * eval_ms
 
     def test_sequential_wall(self):
@@ -408,5 +403,6 @@ class TestSpeedupVirtualClock:
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
-        traj = sample_ddim(s, den, x_T, VarianceRule.deterministic(), stream, clock=clock)
+        traj = sample(Operator("ddim", den, s, rule=VarianceRule.deterministic()), x_T, stream,
+                      clock=clock)
         assert traj.wall_ms == T * eval_ms

@@ -6,18 +6,17 @@ import pytest
 from skipdiff import (
     AnalyticEps,
     GaussianMixture,
+    Operator,
     RngStream,
     Role,
     VarianceRule,
     build_linear_beta,
     build_sigma_grid,
     default_schedule,
-    sample_ddim,
-    sample_ddpm,
-    sample_euler,
+    sample,
     standard_normal_mixture,
 )
-from skipdiff.errors import InvalidSubsequence
+from skipdiff.errors import InvalidSubsequence, NonFiniteState
 from skipdiff.rng import derive_noise
 
 
@@ -27,7 +26,7 @@ class TestSampleDdpm:
         s = build_linear_beta(1, 0.5, 0.5)
         d = AnalyticEps(std_normal_1d)
         x_T = np.array([1.2])
-        traj = sample_ddpm(s, d, x_T, RngStream(seed=0))
+        traj = sample(Operator("ddpm", d, s), x_T, RngStream(seed=0))
         assert traj.eval_count == 1
         assert traj.timesteps() == [1, 0]
         # eps* = sqrt(1-abar) x; x0_hat = x(1 - (1-abar))/sqrt(abar) = sqrt(abar) x
@@ -36,8 +35,8 @@ class TestSampleDdpm:
     def test_trajectory_shape_and_determinism(self, bimodal_1d, sched50):
         d = AnalyticEps(bimodal_1d)
         x_T = np.array([0.3])
-        a = sample_ddpm(sched50, d, x_T, RngStream(seed=4))
-        b = sample_ddpm(sched50, d, x_T, RngStream(seed=4))
+        a = sample(Operator("ddpm", d, sched50), x_T, RngStream(seed=4))
+        b = sample(Operator("ddpm", d, sched50), x_T, RngStream(seed=4))
         assert a.timesteps() == list(range(50, -1, -1))
         assert a.eval_count == 50
         for (ta, xa), (tb, xb) in zip(a.states, b.states):
@@ -53,7 +52,7 @@ class TestSampleDdpm:
         n = 4000
         stream = RngStream(seed=10)
         x_T = derive_noise(stream, s.T, Role.INIT, (n, 1))
-        finals = sample_ddpm(s, d, x_T, stream).final[:, 0]
+        finals = sample(Operator("ddpm", d, s), x_T, stream).final[:, 0]
         se_mean = 1 / math.sqrt(n)
         se_var = math.sqrt(2 / (n - 1))
         assert abs(finals.mean()) <= 4 * se_mean
@@ -71,8 +70,8 @@ class TestSampleDdim:
 
         Audit.calls.clear()
         d = AnalyticEps(bimodal_1d)
-        sample_ddim(sched50, d, np.array([0.5]), VarianceRule.deterministic(),
-                    Audit(seed=1))
+        sample(Operator("ddim", d, sched50, rule=VarianceRule.deterministic()), np.array([0.5]),
+               Audit(seed=1))
         assert Audit.calls == []
 
     def test_stochastic_noise_keys(self, bimodal_1d, sched50):
@@ -86,15 +85,15 @@ class TestSampleDdim:
 
         Audit.calls.clear()
         d = AnalyticEps(bimodal_1d)
-        sample_ddim(sched50, d, np.array([0.5]), VarianceRule.ddpm_induced(),
-                    Audit(seed=1))
+        sample(Operator("ddim", d, sched50, rule=VarianceRule.ddpm_induced()), np.array([0.5]),
+               Audit(seed=1))
         assert Audit.calls == [(u, Role.TRANSITION) for u in range(49, -1, -1)]
 
     def test_subsequence(self, bimodal_1d, sched50):
         d = AnalyticEps(bimodal_1d)
         sub = [50, 40, 25, 10, 0]
-        traj = sample_ddim(sched50, d, np.array([0.5]), VarianceRule.deterministic(),
-                           RngStream(seed=2), subsequence=sub)
+        traj = sample(Operator("ddim", d, sched50, sub, VarianceRule.deterministic()),
+                      np.array([0.5]), RngStream(seed=2))
         assert traj.timesteps() == sub
         assert traj.eval_count == 4
 
@@ -102,14 +101,14 @@ class TestSampleDdim:
     def test_invalid_subsequence(self, bimodal_1d, sched50, bad):
         d = AnalyticEps(bimodal_1d)
         with pytest.raises(InvalidSubsequence):
-            sample_ddim(sched50, d, np.array([0.5]), VarianceRule.deterministic(),
-                        RngStream(seed=2), subsequence=bad)
+            sample(Operator("ddim", d, sched50, bad, VarianceRule.deterministic()),
+                   np.array([0.5]), RngStream(seed=2))
 
     def test_deterministic_pulls_to_modes(self, bimodal_1d, sched50):
         # deterministic DDIM from a well-separated start lands near a data mode
         d = AnalyticEps(bimodal_1d)
-        traj = sample_ddim(sched50, d, np.array([2.5]), VarianceRule.deterministic(),
-                           RngStream(seed=3))
+        traj = sample(Operator("ddim", d, sched50, rule=VarianceRule.deterministic()),
+                      np.array([2.5]), RngStream(seed=3))
         assert 0.5 < traj.final[0] < 4.5
 
     def test_stochastic_moments(self, std_normal_1d):
@@ -119,7 +118,8 @@ class TestSampleDdim:
         n = 4000
         stream = RngStream(seed=11)
         x_T = derive_noise(stream, s.T, Role.INIT, (n, 1))
-        finals = sample_ddim(s, d, x_T, VarianceRule.ddpm_induced(), stream).final[:, 0]
+        op = Operator("ddim", d, s, rule=VarianceRule.ddpm_induced())
+        finals = sample(op, x_T, stream).final[:, 0]
         se_mean = 1 / math.sqrt(n)
         se_var = math.sqrt(2 / (n - 1))
         assert abs(finals.mean()) <= 4 * se_mean
@@ -129,7 +129,7 @@ class TestSampleDdim:
 class TestSampleEuler:
     def test_accounting(self, std_normal_1d):
         g = build_sigma_grid(8, 0.02, 40, 7)
-        traj = sample_euler(g, std_normal_1d, np.array([3.0]))
+        traj = sample(Operator("euler", AnalyticEps(std_normal_1d), g), np.array([3.0]), None)
         assert traj.eval_count == 8
         assert traj.timesteps() == list(range(8, -1, -1))
 
@@ -142,7 +142,7 @@ class TestSampleEuler:
 
         def terminal_error(N):
             g = build_sigma_grid(N, smin, smax, 1.0)
-            got = sample_euler(g, std_normal_1d, x_start).final[0]
+            got = sample(Operator("euler", AnalyticEps(std_normal_1d), g), x_start, None).final[0]
             exact = 2.0 * math.sqrt(1.0 / (1 + smax**2))
             return abs(got - exact)
 
@@ -154,7 +154,7 @@ class TestSampleEuler:
     def test_exact_along_grid_for_analytic_field(self, std_normal_1d):
         # each intermediate state matches one explicit Euler recursion step
         g = build_sigma_grid(5, 0.1, 4.0, 2.0)
-        traj = sample_euler(g, std_normal_1d, np.array([1.0]))
+        traj = sample(Operator("euler", AnalyticEps(std_normal_1d), g), np.array([1.0]), None)
         x = 1.0
         for i, (t, state) in enumerate(traj.states[1:]):
             sig = g.sigmas[i]
@@ -167,8 +167,19 @@ def test_ddim_matches_ddpm_mean_at_k1(std_normal_1d, sched50):
     # DDPM ancestral step exactly (same posterior mean and std)
     d = AnalyticEps(std_normal_1d)
     x_T = np.array([1.7])
-    a = sample_ddpm(sched50, d, x_T, RngStream(seed=21))
-    b = sample_ddim(sched50, d, x_T, VarianceRule.ddpm_induced(), RngStream(seed=21))
+    a = sample(Operator("ddpm", d, sched50), x_T, RngStream(seed=21))
+    b = sample(Operator("ddim", d, sched50, rule=VarianceRule.ddpm_induced()), x_T,
+               RngStream(seed=21))
     for (ta, xa), (tb, xb) in zip(a.states, b.states):
         assert ta == tb
         np.testing.assert_allclose(xa, xb, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_non_finite_state_names_the_step(sched50):
+    # a finite mean near the float limit overflows the oracle at the first
+    # evaluation; the skip that consumes the prediction raises
+    gm = GaussianMixture(weights=[1.0], means=[[1e308]], variances=[1.0])
+    op = Operator("ddim", AnalyticEps(gm), sched50)
+    with pytest.raises(NonFiniteState, match="from t=50 to t=49"):
+        sample(op, np.array([0.5]), None)
