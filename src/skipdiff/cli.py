@@ -6,12 +6,15 @@ Exit codes: 0 success; 2 configuration, input parse or unwritable output
 path error; 3 verification failure; 4 runtime/pipeline error (including a
 non-finite sampler state); 5 unknown verification suite.
 
-Environment: SKIPDIFF_MAX_WORKERS caps the physical worker-pool size without
-changing any sampled output (counter-based RNG keeps results identical).
+`sample` runs each parallel round as one stacked evaluation and builds no
+thread pool. SKIPDIFF_MAX_WORKERS caps only the pool of a library caller's
+run_parallel(workers > 1) and never changes sampled output; a parallel
+`sample` run still rejects a non-integer value (exit 2).
 """
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -245,6 +248,7 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing is stateless; building costs ~1 ms per request
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="skipdiff", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)

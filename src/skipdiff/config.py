@@ -158,11 +158,14 @@ def _finite(text: str) -> float:
     return val
 
 
-def _get_float(kv, key):
+def _get_float(kv, key, minimum=None):
     try:
-        return _finite(kv[key])
+        val = _finite(kv[key])
     except ValueError:
         raise ConfigError(f"{key}: expected finite number, got {kv[key]!r}") from None
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
+    return val
 
 
 def _get_floats(kv, key):
@@ -267,15 +270,15 @@ def load_config(text: str) -> RunConfig:
     if "dim" in kv and _get_int(kv, "dim", 1) != cfg.dim:
         raise ConfigError(f"dim={kv['dim']} disagrees with denoiser dim {cfg.dim}")
 
-    scale = _get_float(kv, "denoiser.perturb_scale")
+    scale = _get_float(kv, "denoiser.perturb_scale", 0.0)
     if scale > 0:
         cfg.denoiser = Perturbed(cfg.denoiser, scale)
     if "latency.overhead_ms" in given and "latency.eval_ms" not in given:
         raise ConfigError("latency.overhead_ms applies only together with latency.eval_ms")
     if "latency.eval_ms" in kv:
         cfg.latency = LatencyModel(
-            eval_time_ms=_get_float(kv, "latency.eval_ms"),
-            dispatch_overhead_ms=_get_float(kv, "latency.overhead_ms")
+            eval_time_ms=_get_float(kv, "latency.eval_ms", 0.0),
+            dispatch_overhead_ms=_get_float(kv, "latency.overhead_ms", 0.0)
             if "latency.overhead_ms" in kv
             else 0.0,
         )

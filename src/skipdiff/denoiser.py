@@ -62,18 +62,34 @@ def standard_normal_mixture(dim: int = 1) -> GaussianMixture:
     return GaussianMixture(weights=[1.0], means=np.zeros((1, dim)), variances=[1.0])
 
 
-def _posterior(gm: GaussianMixture, x, a: float, noise_var: float):
+def _rows(values, x):
+    """Per-row values (one per stacked row of x) shaped to broadcast over the
+    trailing axes of x; a scalar stays a scalar."""
+    if np.isscalar(values):
+        return values
+    return np.reshape(values, (-1,) + (1,) * (np.ndim(x) - 1))
+
+
+def _check_t(t, last: int):
+    """Raise unless t, or every entry of a per-row t, lies in 0..last."""
+    for u in [t] if np.isscalar(t) else t:
+        if not 0 <= u <= last:
+            raise TimestepOutOfRange(f"t={u} outside 0..{last}")
+
+
+def _posterior(gm: GaussianMixture, x, a, noise_var):
     """Component posterior of x = a x0 + sqrt(noise_var) eps with x0 ~ gm.
 
     The noised marginal is sum_i w_i N(a m_i, s_i I) with s_i = a^2 v_i + noise_var.
-    Returns (offsets a m_i - x, shape (..., n_comp, dim); s, shape (n_comp,);
+    `a` and `noise_var` are scalars or per-row values shaped by _rows.
+    Returns (offsets a m_i - x, shape (..., n_comp, dim); s, shape (..., n_comp);
     responsibilities, shape (..., n_comp)). The score of the marginal is
     sum_i r_i offsets_i / s_i. A zero-weight component gets zero responsibility.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != gm.dim:
         raise DimensionMismatch(f"state dim {x.shape[-1]} != mixture dim {gm.dim}")
-    offsets = a * gm.means - x[..., None, :]
+    offsets = (a if np.isscalar(a) else a[..., None]) * gm.means - x[..., None, :]
     scales = a * a * gm.variances + noise_var
     log_w = np.log(gm.weights, out=np.full_like(gm.weights, -np.inf), where=gm.weights > 0)
     log_r = log_w - 0.5 * (np.sum(offsets * offsets, axis=-1) / scales + gm.dim * np.log(scales))
@@ -81,7 +97,7 @@ def _posterior(gm: GaussianMixture, x, a: float, noise_var: float):
     return offsets, scales, r / r.sum(axis=-1, keepdims=True)
 
 
-def eps_oracle(gm: GaussianMixture, s: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
+def eps_oracle(gm: GaussianMixture, s: NoiseSchedule, x: np.ndarray, t) -> np.ndarray:
     """Bayes-optimal noise prediction under variance-preserving noising.
 
     The noised marginal is p_t = sum_i w_i N(sqrt(abar) m_i, (abar v_i + 1-abar) I)
@@ -89,13 +105,12 @@ def eps_oracle(gm: GaussianMixture, s: NoiseSchedule, x: np.ndarray, t: int) -> 
 
     t=0 is allowed (abar=1) and returns the zero vector: the state carries no
     residual noise, which is what the parallel scheduler's final cached
-    evaluation expects.
+    evaluation expects. A 1-D t gives one timestep per row of x.
     """
-    if not 0 <= t <= s.T:
-        raise TimestepOutOfRange(f"t={t} outside 0..{s.T}")
-    abar = s.alpha_bar[t]
+    _check_t(t, s.T)
+    abar = _rows(s.alpha_bar[t], x)
     offsets, scales, r = _posterior(gm, x, np.sqrt(abar), 1.0 - abar)
-    score = np.sum(r[..., None] * offsets / scales[:, None], axis=-2)
+    score = np.sum(r[..., None] * offsets / scales[..., None], axis=-2)
     return -np.sqrt(1.0 - abar) * score
 
 
@@ -111,16 +126,22 @@ def x0_posterior_mean(gm: GaussianMixture, x: np.ndarray, abar: float) -> np.nda
     return np.sum(r[..., None] * cond_mean, axis=-2)
 
 
-def velocity_oracle(gm: GaussianMixture, x: np.ndarray, sigma: float) -> np.ndarray:
+def velocity_oracle(gm: GaussianMixture, x: np.ndarray, sigma) -> np.ndarray:
     """ODE velocity (x - x0_hat)/sigma = -sigma * grad log p_sigma(x) under
     variance-exploding noising p_sigma = sum_i w_i N(m_i, (v_i + sigma^2) I).
 
-    The score form avoids the cancellation in x - x0_hat at small sigma.
+    The score form avoids the cancellation in x - x0_hat at small sigma. A
+    1-D sigma gives one level per row of x.
     """
-    if not sigma > 0.0:
+    scalar = np.isscalar(sigma)
+    levels = [sigma] if scalar else np.asarray(sigma).tolist()
+    if not all(u > 0.0 for u in levels):
         raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
-    offsets, scales, r = _posterior(gm, x, 1.0, sigma**2)
-    return -sigma * np.sum(r[..., None] * offsets / scales[:, None], axis=-2)
+    # Row by row on Python floats: numpy squares an array with a multiply,
+    # which rounds differently from the scalar pow of a one-row call.
+    noise_var = sigma**2 if scalar else _rows([u**2 for u in levels], x)
+    offsets, scales, r = _posterior(gm, x, 1.0, noise_var)
+    return -_rows(sigma, x) * np.sum(r[..., None] * offsets / scales[..., None], axis=-2)
 
 
 def state_independent_eps(seed: int, t: int, dim: int) -> np.ndarray:
@@ -150,7 +171,7 @@ class VirtualClock:
     """Accumulates simulated milliseconds instead of sleeping.
 
     One clock belongs to one scheduler thread; parallel rounds charge it with
-    the per-round maximum, never from inside workers.
+    one stacked evaluation, never from inside workers.
     """
 
     def __init__(self):
@@ -158,6 +179,14 @@ class VirtualClock:
 
     def charge(self, ms: float):
         self.elapsed_ms += ms
+
+
+def spend(ms: float, clock: VirtualClock | None = None):
+    """Charge `ms` to the clock, or sleep for it without one."""
+    if clock is not None:
+        clock.charge(ms)
+    elif ms > 0:
+        time.sleep(ms / 1000.0)
 
 
 @dataclass(frozen=True)
@@ -222,7 +251,7 @@ def evaluate(
     d: Denoiser,
     s: NoiseSchedule | SigmaGrid,
     x: np.ndarray,
-    t: int,
+    t,
     clock: VirtualClock | None = None,
 ) -> np.ndarray:
     """Single entry point the samplers and schedulers call.
@@ -232,32 +261,36 @@ def evaluate(
     sigmas[t] for an analytic mixture, or the state-independent pseudo-noise
     keyed by t.
 
+    t may also be a 1-D int array, one timestep per row of x: row j of the
+    result is then bitwise evaluate(d, s, x[j], t[j]). Latency charges such
+    a stacked call once; Counting counts its rows.
+
     With a VirtualClock, Latency wrappers charge the clock instead of
     sleeping (fast CI); without one they sleep for eval_time_ms of real
-    wall time, which is what the worker-pool benchmarks measure.
+    wall time, which is what the latency benchmarks measure.
     """
     if isinstance(d, AnalyticEps):
         if isinstance(s, SigmaGrid):
-            return velocity_oracle(d.gm, x, float(s.sigmas[t]))
+            _check_t(t, s.N)
+            return velocity_oracle(d.gm, x, s.sigmas[t])
         return eps_oracle(d.gm, s, x, t)
     if isinstance(d, StateIndependent):
-        last = s.N if isinstance(s, SigmaGrid) else s.T
-        if not 0 <= t <= last:
-            raise TimestepOutOfRange(f"t={t} outside 0..{last}")
-        return state_independent_eps(d.seed, t, d.dim)
+        _check_t(t, s.N if isinstance(s, SigmaGrid) else s.T)
+        if np.isscalar(t):
+            return state_independent_eps(d.seed, t, d.dim)
+        return np.stack([state_independent_eps(d.seed, int(u), d.dim) for u in t])
     if isinstance(d, Perturbed):
         value = evaluate(d.inner, s, x, t, clock)
         if d.scale == 0.0:
             return value
-        return value + _perturbation(x, t, d.scale)
+        if np.isscalar(t):
+            return value + _perturbation(x, t, d.scale)
+        return np.stack([v + _perturbation(xj, u, d.scale) for v, xj, u in zip(value, x, t)])
     if isinstance(d, Latency):
-        if clock is not None:
-            clock.charge(d.model.eval_time_ms)
-        elif d.model.eval_time_ms > 0:
-            time.sleep(d.model.eval_time_ms / 1000.0)
+        spend(d.model.eval_time_ms, clock)
         return evaluate(d.inner, s, x, t, clock)
     if isinstance(d, Counting):
-        d.count += 1
+        d.count += 1 if np.isscalar(t) else len(t)
         return evaluate(d.inner, s, x, t, clock)
     raise TypeError(f"unknown denoiser kind: {type(d).__name__}")
 

@@ -14,21 +14,22 @@ Both modes run any sequential.Operator: DDIM and DDPM predict eps on a noise
 schedule, Euler predicts the ODE velocity on a sigma grid, and all three go
 through the same denoiser wrapper stack (latency, virtual clock, counting).
 
-Determinism: all noise comes from counter-based RngStream keys, drafts are
-computed on the scheduler thread, and round results are gathered by task
-index, so outputs are bit-identical across worker counts and completion
-orders.
+Execution and determinism: each round is one evaluate() call over its drafts
+stacked on a new leading axis, on the scheduler thread; only an explicit pool
+runs one task per worker thread. All noise comes from counter-based RngStream
+keys, drafts are computed on the scheduler thread, a stacked row equals its
+one-row call bitwise, and results are gathered by task index, so outputs are
+bit-identical across execution paths, worker counts and completion orders.
 """
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .denoiser import Denoiser, VirtualClock, evaluate, latency_of
+from .denoiser import Denoiser, VirtualClock, evaluate, latency_of, spend
 from .errors import ConfigError, InvalidPlanParams, PlanMismatch, WorkerFailure
 from .rng import RngStream, Role
 from .schedule import NoiseSchedule, SigmaGrid
@@ -105,60 +106,53 @@ def execute_round(
     clock: VirtualClock | None = None,
     submit_order=None,
 ) -> tuple[list, RoundReport]:
-    """Dispatch all (x, t) tasks concurrently; return noise predictions ordered
-    by task index plus a RoundReport. Round wall time is the max over workers
-    (plus dispatch overhead), not the sum."""
+    """Evaluate all (x, t) tasks in one round; return noise predictions
+    ordered by task index plus a RoundReport. Without a pool, or with a
+    VirtualClock, the round is one evaluate() call on this thread over the
+    states stacked in submit order (none if there are no tasks), and every
+    task's span is that call's span. With a pool each task runs on a worker
+    and the round wall time is the max over workers, not the sum."""
     if len(tasks) > devices:
         raise InvalidPlanParams(f"{len(tasks)} tasks exceed {devices} devices")
     model = latency_of(d)
     overhead_ms = model.dispatch_overhead_ms if model else 0.0
-
-    if clock is not None:
-        # virtual clock: serial execution, per-task sub-accumulators, round
-        # time is their max
-        results, spans = [], []
-        for i, (x, t) in enumerate(tasks):
-            sub = VirtualClock()
-            results.append(evaluate(d, s, x, t, sub))
-            spans.append((i, 0.0, sub.elapsed_ms))
-        round_ms = max((ms for _, _, ms in spans), default=0.0) + overhead_ms
-        clock.charge(round_ms)
-        return results, RoundReport(anchor_t, len(tasks), round_ms, spans)
-
-    t0 = time.monotonic()
-    if overhead_ms > 0:
-        time.sleep(overhead_ms / 1000.0)
+    order = list(submit_order) if submit_order is not None else range(len(tasks))
+    results = [None] * len(tasks)
+    t0 = _now_ms(clock)
+    spend(overhead_ms, clock)
+    if pool is None or clock is not None:
+        start = _now_ms(clock)
+        if tasks:
+            try:
+                rows = evaluate(d, s, np.stack([tasks[i][0] for i in order]),
+                                np.array([tasks[i][1] for i in order]), clock)
+            except Exception as exc:
+                raise WorkerFailure(str(exc)) from exc
+            for i, row in zip(order, rows):
+                results[i] = row
+        end = _now_ms(clock)
+        spans = [(i, start - t0, end - t0) for i in range(len(tasks))]
+        return results, RoundReport(anchor_t, len(tasks), end - t0, spans)
 
     def work(i):
         x, t = tasks[i]
-        start = time.monotonic()
-        val = evaluate(d, s, x, t)
-        return i, val, start, time.monotonic()
-    order = list(submit_order) if submit_order is not None else range(len(tasks))
-    owns_pool = pool is None
-    if owns_pool:
-        pool = ThreadPoolExecutor(max_workers=_worker_cap(devices))
-    try:
-        futures = [pool.submit(work, i) for i in order]
-        results = [None] * len(tasks)
-        spans = [None] * len(tasks)
-        error = None
-        for f in futures:
-            try:
-                i, val, start, end = f.result()
-            except Exception as exc:  # drain the round before raising
-                if error is None:
-                    error = exc
-                continue
-            results[i] = val
-            spans[i] = (i, (start - t0) * 1000.0, (end - t0) * 1000.0)
-        if error is not None:
-            raise WorkerFailure(str(error)) from error
-    finally:
-        if owns_pool:
-            pool.shutdown(wait=True)
-    round_ms = (time.monotonic() - t0) * 1000.0
-    return results, RoundReport(anchor_t, len(tasks), round_ms, spans)
+        start = _now_ms(None)
+        return i, evaluate(d, s, x, t), start, _now_ms(None)
+
+    futures = [pool.submit(work, i) for i in order]
+    spans = [None] * len(tasks)
+    error = None
+    for f in futures:
+        try:
+            i, val, start, end = f.result()
+        except Exception as exc:  # drain the round before raising
+            error = error or exc
+            continue
+        results[i] = val
+        spans[i] = (i, start - t0, end - t0)
+    if error is not None:
+        raise WorkerFailure(str(error)) from error
+    return results, RoundReport(anchor_t, len(tasks), _now_ms(None) - t0, spans)
 
 
 def run_parallel(
@@ -173,14 +167,16 @@ def run_parallel(
     submit_order_seed: int | None = None,
     recompute_anchor_eps: bool = False,
 ) -> tuple[Trajectory, list[RoundReport]]:
-    """Draft-and-refine run of any operator in either mode. `workers` sizes
-    the physical pool (defaults to `devices`; never changes outputs),
-    `submit_order_seed` shuffles per-round submission order (for
-    order-invariance testing), and `recompute_anchor_eps` (aggressive only)
-    replaces each cached anchor prediction with a stand-alone evaluation at
-    the refined state (ablation; adds one round and one eval per interior
-    block). Tasks at levels with no prediction (Euler's sigma = 0 node) are
-    dropped: nothing downstream consumes them."""
+    """Draft-and-refine run of any operator in either mode. Each round is one
+    stacked evaluation on this thread; `workers` > 1 (capped by
+    SKIPDIFF_MAX_WORKERS) runs each task on a thread pool of that size
+    instead (never changes outputs). `submit_order_seed` shuffles per-round
+    submission order (for order-invariance testing), and
+    `recompute_anchor_eps` (aggressive only) replaces each cached anchor
+    prediction with a stand-alone evaluation at the refined state (ablation;
+    adds one round and one eval per interior block). Tasks at levels with no
+    prediction (Euler's sigma = 0 node) are dropped: nothing downstream
+    consumes them."""
     start = _now_ms(clock)
     plan = plan_blocks(op.steps, devices, mode)
     aggressive = mode is Mode.AGGRESSIVE
@@ -190,7 +186,8 @@ def run_parallel(
     shuffle = (
         np.random.default_rng(submit_order_seed) if submit_order_seed is not None else None
     )
-    pool = ThreadPoolExecutor(max_workers=_worker_cap(workers or devices))
+    cap = _worker_cap(workers or 1)
+    pool = ThreadPoolExecutor(max_workers=cap) if cap > 1 else None
 
     def round_(tasks, anchor):
         """Evaluate (x, position) tasks in one round; predictions by position."""
@@ -231,7 +228,8 @@ def run_parallel(
                 traj.states.append((op.labels[i + j], x))
             v = vals.get(i + k)  # aggressive: the cached draft prediction for the next anchor
     finally:
-        pool.shutdown(wait=True)
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     if traj.states[-1][0] != 0:
         raise PlanMismatch(f"trajectory ends at t={traj.states[-1][0]}, expected 0")

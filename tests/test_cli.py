@@ -141,6 +141,10 @@ BAD_INPUTS = {
     "mixture-key-state-independent": ("denoiser.kind = state-independent\ndim = 1\n"
                                       "mixture.weights = 1\n", ["sample"], None),
     "denoiser-seed-mixture": (BIMODAL + "denoiser.seed = 3\n", ["sample"], None),
+    "latency-eval-negative": (BIMODAL + "latency.eval_ms = -1\n", ["sample"], None),
+    "latency-overhead-negative": (BIMODAL + "latency.eval_ms = 1\nlatency.overhead_ms = -1\n",
+                                  ["sample"], None),
+    "perturb-scale-negative": (BIMODAL + "denoiser.perturb_scale = -0.5\n", ["sample"], None),
     # /dev/null is not a directory, so nothing can be created below it
     "output-samples-path": (BIMODAL + "schedule.T = 4\noutput.samples = /dev/null/s.csv\n",
                             ["sample"], None),

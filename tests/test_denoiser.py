@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from skipdiff import (
     AnalyticEps,
+    Counting,
     GaussianMixture,
     Latency,
     LatencyModel,
@@ -274,3 +275,55 @@ def test_zero_weight_component_is_silent_and_inert(bimodal_1d, sched50):
                                       velocity_oracle(bimodal_1d, xs, 0.5))
         np.testing.assert_array_equal(x0_posterior_mean(padded, xs, 0.5),
                                       x0_posterior_mean(bimodal_1d, xs, 0.5))
+
+
+STACKED_DENOISERS = {
+    "analytic": lambda gm: AnalyticEps(gm),
+    "state-independent": lambda gm: StateIndependent(seed=4, dim=gm.dim),
+    "perturbed": lambda gm: Perturbed(AnalyticEps(gm), 0.1),
+    "perturbed-state-independent": lambda gm: Perturbed(StateIndependent(seed=4, dim=gm.dim), 0.1),
+    "latency-counting": lambda gm: Counting(Latency(AnalyticEps(gm), LatencyModel(0.0))),
+}
+
+
+@pytest.mark.parametrize("kind", list(STACKED_DENOISERS))
+@pytest.mark.parametrize("levels", ["schedule", "grid"])
+@pytest.mark.parametrize("dim, comps", [(1, 2), (2, 3), (8, 5)])
+@pytest.mark.parametrize("row_shape", ["(k, d)", "(k, n, d)"])
+def test_stacked_rows_equal_one_row_calls(sched50, kind, levels, dim, comps, row_shape):
+    # a stacked call with one timestep per row is what execute_round makes
+    # for a round; each row must be bitwise the one-row call
+    rng = np.random.default_rng(dim * 10 + comps)
+    gm = GaussianMixture(weights=rng.dirichlet(np.ones(comps)),
+                         means=rng.normal(0, 2, (comps, dim)),
+                         variances=rng.uniform(0.2, 1.5, comps))
+    s = sched50 if levels == "schedule" else build_sigma_grid(16, 0.02, 20, 7)
+    ts = np.array([13, 1, 7, 13] if levels == "grid" else [50, 0, 13, 1])
+    xs = rng.normal(0, 2, (4, dim) if row_shape == "(k, d)" else (4, 3, dim))
+    d = STACKED_DENOISERS[kind](gm)
+    stacked = evaluate(d, s, xs, ts)
+    for j in range(len(ts)):
+        np.testing.assert_array_equal(stacked[j], evaluate(d, s, xs[j], int(ts[j])))
+
+
+def test_stacked_call_counts_rows_and_charges_once(bimodal_1d, sched50):
+    d = Counting(Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=5.0)))
+    clock = VirtualClock()
+    evaluate(d, sched50, np.zeros((3, 1)), np.array([9, 8, 7]), clock)
+    assert d.count == 3
+    assert clock.elapsed_ms == 5.0
+    evaluate(d, sched50, np.zeros((2, 1)), 9, clock)  # a batch at one timestep is one eval
+    assert d.count == 4
+
+
+def test_stacked_out_of_range_row_raises(bimodal_1d, sched50):
+    grid = build_sigma_grid(16, 0.02, 20, 7)
+    xs = np.zeros((3, 1))
+    with pytest.raises(TimestepOutOfRange):
+        evaluate(AnalyticEps(bimodal_1d), sched50, xs, np.array([3, 51, 2]))
+    with pytest.raises(TimestepOutOfRange):
+        evaluate(StateIndependent(seed=1, dim=1), sched50, xs, np.array([3, -1, 2]))
+    with pytest.raises(TimestepOutOfRange):
+        evaluate(AnalyticEps(bimodal_1d), grid, xs, np.array([3, 17, 2]))
+    with pytest.raises(NonPositiveSigma):  # the grid's sigma = 0 node
+        evaluate(AnalyticEps(bimodal_1d), grid, xs, np.array([3, 16, 2]))

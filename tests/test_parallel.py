@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from skipdiff import (
     run_parallel,
     sample,
 )
+from skipdiff import parallel
 from skipdiff.errors import InvalidPlanParams, WorkerFailure
 from skipdiff.parallel import WORKER_CAP_ENV
 from skipdiff.rng import derive_noise
@@ -406,3 +409,50 @@ class TestSpeedupVirtualClock:
         traj = sample(Operator("ddim", den, s, rule=VarianceRule.deterministic()), x_T, stream,
                       clock=clock)
         assert traj.wall_ms == T * eval_ms
+
+
+class TestStackedRounds:
+    """Without an explicit pool a round is one stacked evaluate() call on the
+    scheduler thread."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Record (thread, x shape, rows) for each evaluate() the scheduler makes."""
+        calls = []
+        real = parallel.evaluate
+
+        def recording(d, s, x, t, clock=None):
+            calls.append((threading.get_ident(), np.shape(x), np.size(t)))
+            return real(d, s, x, t, clock)
+        monkeypatch.setattr(parallel, "evaluate", recording)
+        return calls
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_one_call_per_round_on_calling_thread(self, sched50, bimodal_1d, monkeypatch, mode):
+        calls = self._record(monkeypatch)
+        op = Operator("ddim", AnalyticEps(bimodal_1d), sched50)
+        traj, reports = run_parallel(op, np.array([0.3]), 4, mode, None)
+        assert len(calls) == len(reports)
+        assert {ident for ident, _, _ in calls} == {threading.get_ident()}
+        assert [(shape, rows) for _, shape, rows in calls] == \
+            [((r.parallel_evals, 1), r.parallel_evals) for r in reports]
+        assert sum(rows for _, _, rows in calls) == traj.eval_count
+
+    def test_explicit_workers_keep_one_call_per_task(self, sched50, bimodal_1d, monkeypatch):
+        calls = self._record(monkeypatch)
+        op = Operator("ddim", AnalyticEps(bimodal_1d), sched50)
+        traj, _ = run_parallel(op, np.array([0.3]), 4, Mode.AGGRESSIVE, None, workers=4)
+        assert len(calls) == traj.eval_count
+        assert threading.get_ident() not in {ident for ident, _, _ in calls}
+
+    def test_empty_round_makes_no_call(self, bimodal_1d, monkeypatch):
+        # N = 17 on 4 devices: the last aggressive block drafts only the
+        # sigma = 0 node, whose task is dropped
+        calls = self._record(monkeypatch)
+        op = Operator("euler", AnalyticEps(bimodal_1d), build_sigma_grid(17, 0.02, 20, 7))
+        _, reports = run_parallel(op, np.array([1.5]), 4, Mode.AGGRESSIVE, None)
+        assert reports[-1].parallel_evals == 0
+        assert len(calls) == sum(1 for r in reports if r.parallel_evals) == len(reports) - 1
+        calls.clear()
+        vals, report = execute_round(AnalyticEps(bimodal_1d), op.levels, [], 4, anchor_t=1)
+        assert vals == [] and report.parallel_evals == 0 and not calls
