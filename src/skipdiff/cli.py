@@ -6,10 +6,9 @@ Exit codes: 0 success; 2 configuration, input parse or unwritable output
 path error; 3 verification failure; 4 runtime/pipeline error (including a
 non-finite sampler state); 5 unknown verification suite.
 
-`sample` runs each parallel round as one stacked evaluation and builds no
-thread pool. SKIPDIFF_MAX_WORKERS caps only the pool of a library caller's
-run_parallel(workers > 1) and never changes sampled output; a parallel
-`sample` run still rejects a non-integer value (exit 2).
+`sample` runs each parallel round as one stacked evaluation on one thread.
+SKIPDIFF_MAX_WORKERS sizes nothing, but a parallel `sample` run still rejects
+a non-integer value (exit 2).
 """
 
 import argparse

@@ -2,8 +2,7 @@
 
 The analytic oracles stand in for a pretrained network, so every downstream
 claim about the samplers can be checked against closed forms. All denoisers
-are pure functions of their inputs and construction parameters, and safe to
-evaluate concurrently from any number of workers.
+are pure functions of their inputs and construction parameters.
 
 State vectors are plain float arrays of shape (dim,) or batched (n, dim);
 every oracle broadcasts over the leading batch axis.
@@ -170,8 +169,8 @@ class LatencyModel:
 class VirtualClock:
     """Accumulates simulated milliseconds instead of sleeping.
 
-    One clock belongs to one scheduler thread; parallel rounds charge it with
-    one stacked evaluation, never from inside workers.
+    One clock belongs to one scheduler thread; a parallel round charges it
+    once, with one stacked evaluation.
     """
 
     def __init__(self):
@@ -226,8 +225,9 @@ class Latency:
 
 
 class Counting:
-    """Instrumentation wrapper counting evaluate() calls. The single mutable
-    denoiser; counts are advisory and never affect returned values."""
+    """Instrumentation wrapper counting evaluated rows: one per row of a
+    stacked call, one per unstacked call. The single mutable denoiser; counts
+    are advisory and never affect returned values."""
 
     def __init__(self, inner):
         self.inner = inner

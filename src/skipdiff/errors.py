@@ -50,7 +50,7 @@ class NonFiniteState(SkipDiffError):
 
 
 class WorkerFailure(SkipDiffError):
-    """A worker task raised; carries the first underlying error."""
+    """A parallel round's evaluation raised; chained to the underlying error."""
 
 
 class TimestepMismatch(SkipDiffError):

@@ -15,15 +15,13 @@ schedule, Euler predicts the ODE velocity on a sigma grid, and all three go
 through the same denoiser wrapper stack (latency, virtual clock, counting).
 
 Execution and determinism: each round is one evaluate() call over its drafts
-stacked on a new leading axis, on the scheduler thread; only an explicit pool
-runs one task per worker thread. All noise comes from counter-based RngStream
-keys, drafts are computed on the scheduler thread, a stacked row equals its
-one-row call bitwise, and results are gathered by task index, so outputs are
-bit-identical across execution paths, worker counts and completion orders.
+stacked on a new leading axis, on the scheduler thread. All noise comes from
+counter-based RngStream keys, a stacked row equals its one-row call bitwise,
+and results are gathered by task index, so outputs are bit-identical across
+submit orders.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,7 +58,8 @@ class RoundReport:
     anchor_t: int
     parallel_evals: int
     round_wall_ms: float
-    worker_spans: list = field(default_factory=list)  # (task index, start ms, end ms)
+    # (task index, start ms, end ms); every task carries the one stacked call's span
+    worker_spans: list = field(default_factory=list)
 
 
 def plan_blocks(T: int, devices: int, mode: Mode) -> BlockPlan:
@@ -85,12 +84,12 @@ def plan_blocks(T: int, devices: int, mode: Mode) -> BlockPlan:
     return BlockPlan(mode, tuple(blocks), total_rounds=rounds, total_evals=T)
 
 
-def _worker_cap(requested: int) -> int:
+def _check_worker_cap() -> None:
+    """SKIPDIFF_MAX_WORKERS no longer sizes anything, but a malformed value is
+    still a configuration error."""
     cap = os.environ.get(WORKER_CAP_ENV)
-    if not cap:
-        return requested
     try:
-        return max(1, min(requested, int(cap)))
+        int(cap or 1)
     except ValueError:
         raise ConfigError(f"{WORKER_CAP_ENV}: expected integer, got {cap!r}") from None
 
@@ -102,57 +101,34 @@ def execute_round(
     devices: int,
     *,
     anchor_t: int,
-    pool: ThreadPoolExecutor | None = None,
+    pool=None,
     clock: VirtualClock | None = None,
     submit_order=None,
 ) -> tuple[list, RoundReport]:
-    """Evaluate all (x, t) tasks in one round; return noise predictions
-    ordered by task index plus a RoundReport. Without a pool, or with a
-    VirtualClock, the round is one evaluate() call on this thread over the
-    states stacked in submit order (none if there are no tasks), and every
-    task's span is that call's span. With a pool each task runs on a worker
-    and the round wall time is the max over workers, not the sum."""
+    """Evaluate all (x, t) tasks in one round: one evaluate() call on this
+    thread over the states stacked in submit order (none if there are no
+    tasks). Returns the predictions ordered by task index plus a RoundReport
+    in which every task's span is that call's span. `pool` is accepted and
+    ignored."""
     if len(tasks) > devices:
         raise InvalidPlanParams(f"{len(tasks)} tasks exceed {devices} devices")
     model = latency_of(d)
-    overhead_ms = model.dispatch_overhead_ms if model else 0.0
     order = list(submit_order) if submit_order is not None else range(len(tasks))
     results = [None] * len(tasks)
     t0 = _now_ms(clock)
-    spend(overhead_ms, clock)
-    if pool is None or clock is not None:
-        start = _now_ms(clock)
-        if tasks:
-            try:
-                rows = evaluate(d, s, np.stack([tasks[i][0] for i in order]),
-                                np.array([tasks[i][1] for i in order]), clock)
-            except Exception as exc:
-                raise WorkerFailure(str(exc)) from exc
-            for i, row in zip(order, rows):
-                results[i] = row
-        end = _now_ms(clock)
-        spans = [(i, start - t0, end - t0) for i in range(len(tasks))]
-        return results, RoundReport(anchor_t, len(tasks), end - t0, spans)
-
-    def work(i):
-        x, t = tasks[i]
-        start = _now_ms(None)
-        return i, evaluate(d, s, x, t), start, _now_ms(None)
-
-    futures = [pool.submit(work, i) for i in order]
-    spans = [None] * len(tasks)
-    error = None
-    for f in futures:
+    spend(model.dispatch_overhead_ms if model else 0.0, clock)
+    start = _now_ms(clock)
+    if tasks:
         try:
-            i, val, start, end = f.result()
-        except Exception as exc:  # drain the round before raising
-            error = error or exc
-            continue
-        results[i] = val
-        spans[i] = (i, start - t0, end - t0)
-    if error is not None:
-        raise WorkerFailure(str(error)) from error
-    return results, RoundReport(anchor_t, len(tasks), _now_ms(None) - t0, spans)
+            rows = evaluate(d, s, np.stack([tasks[i][0] for i in order]),
+                            np.array([tasks[i][1] for i in order]), clock)
+        except Exception as exc:
+            raise WorkerFailure(str(exc)) from exc
+        for i, row in zip(order, rows):
+            results[i] = row
+    end = _now_ms(clock)
+    spans = [(i, start - t0, end - t0) for i in range(len(tasks))]
+    return results, RoundReport(anchor_t, len(tasks), end - t0, spans)
 
 
 def run_parallel(
@@ -168,15 +144,13 @@ def run_parallel(
     recompute_anchor_eps: bool = False,
 ) -> tuple[Trajectory, list[RoundReport]]:
     """Draft-and-refine run of any operator in either mode. Each round is one
-    stacked evaluation on this thread; `workers` > 1 (capped by
-    SKIPDIFF_MAX_WORKERS) runs each task on a thread pool of that size
-    instead (never changes outputs). `submit_order_seed` shuffles per-round
-    submission order (for order-invariance testing), and
-    `recompute_anchor_eps` (aggressive only) replaces each cached anchor
-    prediction with a stand-alone evaluation at the refined state (ablation;
-    adds one round and one eval per interior block). Tasks at levels with no
-    prediction (Euler's sigma = 0 node) are dropped: nothing downstream
-    consumes them."""
+    stacked evaluation on this thread; `workers` is accepted and ignored.
+    `submit_order_seed` shuffles per-round submission order (for
+    order-invariance testing), and `recompute_anchor_eps` (aggressive only)
+    replaces each cached anchor prediction with a stand-alone evaluation at
+    the refined state (ablation; adds one round and one eval per interior
+    block). Tasks at levels with no prediction (Euler's sigma = 0 node) are
+    dropped: nothing downstream consumes them."""
     start = _now_ms(clock)
     plan = plan_blocks(op.steps, devices, mode)
     aggressive = mode is Mode.AGGRESSIVE
@@ -186,8 +160,7 @@ def run_parallel(
     shuffle = (
         np.random.default_rng(submit_order_seed) if submit_order_seed is not None else None
     )
-    cap = _worker_cap(workers or 1)
-    pool = ThreadPoolExecutor(max_workers=cap) if cap > 1 else None
+    _check_worker_cap()
 
     def round_(tasks, anchor):
         """Evaluate (x, position) tasks in one round; predictions by position."""
@@ -195,7 +168,7 @@ def run_parallel(
         order = shuffle.permutation(len(live)) if shuffle is not None else None
         vals, report = execute_round(
             op.denoiser, op.levels, [(xx, op.level(i)) for xx, i in live], devices,
-            anchor_t=op.labels[anchor], pool=pool, clock=clock, submit_order=order,
+            anchor_t=op.labels[anchor], clock=clock, submit_order=order,
         )
         reports.append(report)
         traj.eval_count += len(live)
@@ -204,32 +177,28 @@ def run_parallel(
     def advance(i, k, x, v, role=Role.TRANSITION):
         return op.skip(i, k, x, v, op.noise(stream, i + k, role, x.shape))
 
-    try:
-        if aggressive:
-            v = round_([(x, 0)], 0)[0]
-        for r, k in plan.blocks:
-            i = op.steps - r
-            if not aggressive or (recompute_anchor_eps and i > 0):
-                v = round_([(x, i)], i)[i]
-            if k == 0:  # degenerate final conservative block: one unit step, no round
-                x = advance(i, 1, x, v)
-                traj.states.append((op.labels[i + 1], x))
-                continue
-            # The j=1 draft IS the kept state at i+1, so it takes that
-            # state's TRANSITION noise; deeper drafts are discarded after
-            # their evaluation and take DRAFT keys.
-            drafts = [advance(i, j, x, v, Role.TRANSITION if j == 1 else Role.DRAFT)
-                      for j in range(1, k + 1)]
-            vals = round_([(drafts[j - 1], i + j) for j in range(1, k + 1)], i)
-            x = drafts[0]
+    if aggressive:
+        v = round_([(x, 0)], 0)[0]
+    for r, k in plan.blocks:
+        i = op.steps - r
+        if not aggressive or (recompute_anchor_eps and i > 0):
+            v = round_([(x, i)], i)[i]
+        if k == 0:  # degenerate final conservative block: one unit step, no round
+            x = advance(i, 1, x, v)
             traj.states.append((op.labels[i + 1], x))
-            for j in range(2, (k if aggressive else k + 1) + 1):
-                x = advance(i + j - 1, 1, x, vals[i + j - 1])
-                traj.states.append((op.labels[i + j], x))
-            v = vals.get(i + k)  # aggressive: the cached draft prediction for the next anchor
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+            continue
+        # The j=1 draft IS the kept state at i+1, so it takes that
+        # state's TRANSITION noise; deeper drafts are discarded after
+        # their evaluation and take DRAFT keys.
+        drafts = [advance(i, j, x, v, Role.TRANSITION if j == 1 else Role.DRAFT)
+                  for j in range(1, k + 1)]
+        vals = round_([(drafts[j - 1], i + j) for j in range(1, k + 1)], i)
+        x = drafts[0]
+        traj.states.append((op.labels[i + 1], x))
+        for j in range(2, (k if aggressive else k + 1) + 1):
+            x = advance(i + j - 1, 1, x, vals[i + j - 1])
+            traj.states.append((op.labels[i + j], x))
+        v = vals.get(i + k)  # aggressive: the cached draft prediction for the next anchor
 
     if traj.states[-1][0] != 0:
         raise PlanMismatch(f"trajectory ends at t={traj.states[-1][0]}, expected 0")

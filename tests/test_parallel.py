@@ -412,8 +412,7 @@ class TestSpeedupVirtualClock:
 
 
 class TestStackedRounds:
-    """Without an explicit pool a round is one stacked evaluate() call on the
-    scheduler thread."""
+    """A round is one stacked evaluate() call on the scheduler thread."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -427,23 +426,27 @@ class TestStackedRounds:
         monkeypatch.setattr(parallel, "evaluate", recording)
         return calls
 
+    @pytest.mark.parametrize("workers", [None, 4], ids=["default", "workers-ignored"])
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_one_call_per_round_on_calling_thread(self, sched50, bimodal_1d, monkeypatch, mode):
+    def test_one_call_per_round_on_calling_thread(self, sched50, bimodal_1d, monkeypatch,
+                                                  mode, workers):
         calls = self._record(monkeypatch)
         op = Operator("ddim", AnalyticEps(bimodal_1d), sched50)
-        traj, reports = run_parallel(op, np.array([0.3]), 4, mode, None)
+        traj, reports = run_parallel(op, np.array([0.3]), 4, mode, None, workers=workers)
         assert len(calls) == len(reports)
         assert {ident for ident, _, _ in calls} == {threading.get_ident()}
         assert [(shape, rows) for _, shape, rows in calls] == \
             [((r.parallel_evals, 1), r.parallel_evals) for r in reports]
         assert sum(rows for _, _, rows in calls) == traj.eval_count
 
-    def test_explicit_workers_keep_one_call_per_task(self, sched50, bimodal_1d, monkeypatch):
-        calls = self._record(monkeypatch)
-        op = Operator("ddim", AnalyticEps(bimodal_1d), sched50)
-        traj, _ = run_parallel(op, np.array([0.3]), 4, Mode.AGGRESSIVE, None, workers=4)
-        assert len(calls) == traj.eval_count
-        assert threading.get_ident() not in {ident for ident, _, _ in calls}
+    def test_round_sleeps_once(self, sched50, bimodal_1d):
+        # three drafts, one 40 ms latency: the round costs one evaluation, not
+        # three (the upper bound leaves room for the host's sleep resolution)
+        den = Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=40.0))
+        tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
+        _, report = execute_round(den, sched50, tasks, 3, anchor_t=9)
+        assert 40.0 <= report.round_wall_ms < 80.0
+        assert len({(start, end) for _, start, end in report.worker_spans}) == 1
 
     def test_empty_round_makes_no_call(self, bimodal_1d, monkeypatch):
         # N = 17 on 4 devices: the last aggressive block drafts only the
