@@ -4,11 +4,10 @@ Commands: sample, bench, verify, compare, dump-schedule, probe.
 
 Exit codes: 0 success; 2 configuration, input parse or unwritable output
 path error; 3 verification failure; 4 runtime/pipeline error (including a
-non-finite sampler state); 5 unknown verification suite.
+non-finite sampler state or one too large to allocate); 5 unknown
+verification suite.
 
 `sample` runs each parallel round as one stacked evaluation on one thread.
-SKIPDIFF_MAX_WORKERS sizes nothing, but a parallel `sample` run still rejects
-a non-integer value (exit 2).
 """
 
 import argparse
@@ -304,7 +303,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # inputs are read under ConfigError/ParseError: this is an output path
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-    except SkipDiffError as exc:
+    except (SkipDiffError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

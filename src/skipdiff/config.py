@@ -22,6 +22,7 @@ Lists are comma-separated; vector lists are space-separated vectors joined
 by semicolons. Lines starting with # are comments.
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,10 @@ from .denoiser import (
 from .errors import ConfigError
 from .schedule import build_cosine, build_linear_beta, build_sigma_grid
 from .transitions import VarianceRule
+
+# a sleep's deadline, now + latency, must stay below TIMEOUT_MAX; half leaves room for uptime
+_MAX_SLEEP_MS = threading.TIMEOUT_MAX / 2 * 1000.0
+_SEED_KEYS = 2**48  # RngStream keys use the low 48 bits of a chain seed
 
 KNOWN_KEYS = {
     "schedule.kind": "linear | cosine",
@@ -141,14 +146,20 @@ class RunConfig:
     out_rounds: str | None = None
 
 
-def _get_int(kv, key, minimum=None):
+def _get(kv, key, parse, kind, minimum, maximum):
     try:
-        val = int(kv[key])
+        val = parse(kv[key])
     except ValueError:
-        raise ConfigError(f"{key}: expected integer, got {kv[key]!r}") from None
+        raise ConfigError(f"{key}: expected {kind}, got {kv[key]!r}") from None
     if minimum is not None and val < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{key}: must be <= {maximum}, got {val}")
     return val
+
+
+def _get_int(kv, key, minimum=None, maximum=None):
+    return _get(kv, key, int, "integer", minimum, maximum)
 
 
 def _finite(text: str) -> float:
@@ -158,14 +169,8 @@ def _finite(text: str) -> float:
     return val
 
 
-def _get_float(kv, key, minimum=None):
-    try:
-        val = _finite(kv[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected finite number, got {kv[key]!r}") from None
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
-    return val
+def _get_float(kv, key, minimum=None, maximum=None):
+    return _get(kv, key, _finite, "finite number", minimum, maximum)
 
 
 def _get_floats(kv, key):
@@ -211,8 +216,8 @@ def load_config(text: str) -> RunConfig:
     if cfg.mode not in ("sequential", "aggressive", "conservative"):
         raise ConfigError(f"sampler.mode: unknown mode {kv['sampler.mode']!r}")
     cfg.devices = _get_int(kv, "sampler.devices", 1)
-    cfg.seed = _get_int(kv, "seed")
-    cfg.samples = _get_int(kv, "samples", 1)
+    cfg.samples = _get_int(kv, "samples", 1, _SEED_KEYS)
+    cfg.seed = _get_int(kv, "seed", 0, _SEED_KEYS - cfg.samples)  # run i uses seed + i
     flag = kv["sampler.recompute_anchor_eps"].lower()
     if flag not in ("true", "1", "yes", "false", "0", "no"):
         raise ConfigError(f"sampler.recompute_anchor_eps: expected true or false, got {flag!r}")
@@ -264,7 +269,8 @@ def load_config(text: str) -> RunConfig:
         if "dim" not in kv:
             raise ConfigError("dim is required for the state-independent denoiser")
         cfg.dim = _get_int(kv, "dim", 1)
-        cfg.denoiser = StateIndependent(seed=_get_int(kv, "denoiser.seed"), dim=cfg.dim)
+        cfg.denoiser = StateIndependent(seed=_get_int(kv, "denoiser.seed", 0, 2**32 - 1),
+                                        dim=cfg.dim)
     else:
         raise ConfigError(f"denoiser.kind: unknown kind {kv['denoiser.kind']!r}")
     if "dim" in kv and _get_int(kv, "dim", 1) != cfg.dim:
@@ -277,8 +283,8 @@ def load_config(text: str) -> RunConfig:
         raise ConfigError("latency.overhead_ms applies only together with latency.eval_ms")
     if "latency.eval_ms" in kv:
         cfg.latency = LatencyModel(
-            eval_time_ms=_get_float(kv, "latency.eval_ms", 0.0),
-            dispatch_overhead_ms=_get_float(kv, "latency.overhead_ms", 0.0)
+            eval_time_ms=_get_float(kv, "latency.eval_ms", 0.0, _MAX_SLEEP_MS),
+            dispatch_overhead_ms=_get_float(kv, "latency.overhead_ms", 0.0, _MAX_SLEEP_MS)
             if "latency.overhead_ms" in kv
             else 0.0,
         )

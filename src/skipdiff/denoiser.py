@@ -41,6 +41,8 @@ class GaussianMixture:
             raise ValueError("variances must be positive")
         if len(w) != m.shape[0] or len(w) != len(v):
             raise DimensionMismatch("weights/means/variances lengths disagree")
+        if m.shape[1] == 0:
+            raise DimensionMismatch("means must have at least one coordinate")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)

@@ -15,25 +15,22 @@ schedule, Euler predicts the ODE velocity on a sigma grid, and all three go
 through the same denoiser wrapper stack (latency, virtual clock, counting).
 
 Execution and determinism: each round is one evaluate() call over its drafts
-stacked on a new leading axis, on the scheduler thread. All noise comes from
-counter-based RngStream keys, a stacked row equals its one-row call bitwise,
-and results are gathered by task index, so outputs are bit-identical across
-submit orders.
+stacked in task order on a new leading axis, on the scheduler thread. All
+noise comes from counter-based RngStream keys and a stacked row equals its
+one-row call bitwise, so the order of the rows in a round never changes the
+output.
 """
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .denoiser import Denoiser, VirtualClock, evaluate, latency_of, spend
-from .errors import ConfigError, InvalidPlanParams, PlanMismatch, WorkerFailure
+from .errors import InvalidPlanParams, PlanMismatch, WorkerFailure
 from .rng import RngStream, Role
 from .schedule import NoiseSchedule, SigmaGrid
 from .sequential import Operator, Trajectory, _now_ms
-
-WORKER_CAP_ENV = "SKIPDIFF_MAX_WORKERS"
 
 
 class Mode(Enum):
@@ -58,8 +55,6 @@ class RoundReport:
     anchor_t: int
     parallel_evals: int
     round_wall_ms: float
-    # (task index, start ms, end ms); every task carries the one stacked call's span
-    worker_spans: list = field(default_factory=list)
 
 
 def plan_blocks(T: int, devices: int, mode: Mode) -> BlockPlan:
@@ -84,16 +79,6 @@ def plan_blocks(T: int, devices: int, mode: Mode) -> BlockPlan:
     return BlockPlan(mode, tuple(blocks), total_rounds=rounds, total_evals=T)
 
 
-def _check_worker_cap() -> None:
-    """SKIPDIFF_MAX_WORKERS no longer sizes anything, but a malformed value is
-    still a configuration error."""
-    cap = os.environ.get(WORKER_CAP_ENV)
-    try:
-        int(cap or 1)
-    except ValueError:
-        raise ConfigError(f"{WORKER_CAP_ENV}: expected integer, got {cap!r}") from None
-
-
 def execute_round(
     d: Denoiser,
     s: NoiseSchedule | SigmaGrid,
@@ -103,32 +88,25 @@ def execute_round(
     anchor_t: int,
     pool=None,
     clock: VirtualClock | None = None,
-    submit_order=None,
 ) -> tuple[list, RoundReport]:
     """Evaluate all (x, t) tasks in one round: one evaluate() call on this
-    thread over the states stacked in submit order (none if there are no
-    tasks). Returns the predictions ordered by task index plus a RoundReport
-    in which every task's span is that call's span. `pool` is accepted and
-    ignored."""
+    thread over the states stacked in task order (none if there are no
+    tasks). Returns the predictions by task index and the round's report.
+    `pool` is accepted and ignored, because `perfbench/micro.py` still
+    passes one."""
     if len(tasks) > devices:
         raise InvalidPlanParams(f"{len(tasks)} tasks exceed {devices} devices")
     model = latency_of(d)
-    order = list(submit_order) if submit_order is not None else range(len(tasks))
-    results = [None] * len(tasks)
     t0 = _now_ms(clock)
     spend(model.dispatch_overhead_ms if model else 0.0, clock)
-    start = _now_ms(clock)
+    results = []
     if tasks:
         try:
-            rows = evaluate(d, s, np.stack([tasks[i][0] for i in order]),
-                            np.array([tasks[i][1] for i in order]), clock)
+            results = list(evaluate(d, s, np.stack([x for x, _ in tasks]),
+                                    np.array([t for _, t in tasks]), clock))
         except Exception as exc:
             raise WorkerFailure(str(exc)) from exc
-        for i, row in zip(order, rows):
-            results[i] = row
-    end = _now_ms(clock)
-    spans = [(i, start - t0, end - t0) for i in range(len(tasks))]
-    return results, RoundReport(anchor_t, len(tasks), end - t0, spans)
+    return results, RoundReport(anchor_t, len(tasks), _now_ms(clock) - t0)
 
 
 def run_parallel(
@@ -139,37 +117,26 @@ def run_parallel(
     stream: RngStream | None,
     *,
     clock: VirtualClock | None = None,
-    workers: int | None = None,
-    submit_order_seed: int | None = None,
     recompute_anchor_eps: bool = False,
 ) -> tuple[Trajectory, list[RoundReport]]:
-    """Draft-and-refine run of any operator in either mode. Each round is one
-    stacked evaluation on this thread; `workers` is accepted and ignored.
-    `submit_order_seed` shuffles per-round submission order (for
-    order-invariance testing), and `recompute_anchor_eps` (aggressive only)
-    replaces each cached anchor prediction with a stand-alone evaluation at
-    the refined state (ablation; adds one round and one eval per interior
-    block). Tasks at levels with no prediction (Euler's sigma = 0 node) are
-    dropped: nothing downstream consumes them."""
+    """Draft-and-refine run of any operator in either mode, one stacked
+    evaluation per round. `recompute_anchor_eps` (aggressive only) replaces
+    each cached anchor prediction with a stand-alone evaluation at the refined
+    state (ablation; adds one round and one eval per interior block). Tasks at
+    levels with no prediction (Euler's sigma = 0 node) are dropped: nothing
+    downstream consumes them."""
     start = _now_ms(clock)
     plan = plan_blocks(op.steps, devices, mode)
     aggressive = mode is Mode.AGGRESSIVE
     x = np.asarray(x, dtype=float)
     traj = Trajectory(states=[(op.labels[0], x)])
     reports: list[RoundReport] = []
-    shuffle = (
-        np.random.default_rng(submit_order_seed) if submit_order_seed is not None else None
-    )
-    _check_worker_cap()
 
     def round_(tasks, anchor):
         """Evaluate (x, position) tasks in one round; predictions by position."""
         live = [(xx, i) for xx, i in tasks if op.predicts(i)]
-        order = shuffle.permutation(len(live)) if shuffle is not None else None
-        vals, report = execute_round(
-            op.denoiser, op.levels, [(xx, op.level(i)) for xx, i in live], devices,
-            anchor_t=op.labels[anchor], clock=clock, submit_order=order,
-        )
+        vals, report = execute_round(op.denoiser, op.levels, [(xx, op.level(i)) for xx, i in live],
+                                     devices, anchor_t=op.labels[anchor], clock=clock)
         reports.append(report)
         traj.eval_count += len(live)
         return {i: v for (_, i), v in zip(live, vals)}

@@ -1,6 +1,5 @@
 """Counter-based randomness: every normal draw is a pure function of
-(seed, timestep, role), so execution order and worker count never change
-the sampled noise."""
+(seed, timestep, role), so execution order never changes the sampled noise."""
 
 from dataclasses import dataclass
 from enum import IntEnum

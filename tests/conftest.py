@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skipdiff import GaussianMixture, default_schedule, standard_normal_mixture
+from skipdiff import GaussianMixture, default_schedule, parallel, standard_normal_mixture
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +26,20 @@ def bimodal_2d():
         means=np.array([[-2.0, 0.0], [2.0, 0.0]]),
         variances=[1.0, 1.0],
     )
+
+
+@pytest.fixture
+def shuffle_rounds(monkeypatch):
+    """Call with a seed to stack the rows of every later parallel round in a
+    random order: the stand-in for the scheduler's evaluate() permutes the
+    stacked rows, calls the real evaluate() and un-permutes its result."""
+    real = parallel.evaluate
+
+    def install(seed):
+        rng = np.random.default_rng(seed)
+
+        def shuffled(d, s, x, t, clock=None):
+            perm = rng.permutation(len(t))
+            return real(d, s, x[perm], t[perm], clock)[np.argsort(perm)]
+        monkeypatch.setattr(parallel, "evaluate", shuffled)
+    return install

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skipdiff.cli import (
     EXIT_CONFIG,
@@ -16,6 +18,7 @@ from skipdiff.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
+from skipdiff.config import KNOWN_KEYS
 
 BIMODAL = (
     "mixture.weights = 0.5, 0.5\n"
@@ -113,6 +116,14 @@ class TestSample:
         assert "non-finite state" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
+    def test_unallocatable_state_exits_runtime(self, tmp_path, capsys):
+        # 8e17 bytes exceed any address space, so the allocation fails up front
+        cfg = write_cfg(tmp_path, "denoiser.kind = state-independent\ndim = 100000000000000000\n"
+                        f"output.samples = {tmp_path}/p.csv\n")
+        assert main(["sample", "--config", cfg]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "p.csv").exists()
+
     def test_subsequence_applies_in_parallel_modes(self, tmp_path):
         for mode, evals, rounds in (("aggressive", 3, 2), ("conservative", 2, 2)):
             cfg = write_cfg(tmp_path, BIMODAL + (
@@ -126,48 +137,112 @@ class TestSample:
 
 BAD_INPUTS = {
     "mixture-means": ("mixture.weights = 0.5, 0.5\nmixture.means = -2; abc\n"
-                      "mixture.variances = 1, 1\n", ["sample"], None),
-    "worker-cap-env": (BIMODAL + "sampler.mode = aggressive\nsampler.devices = 2\n",
-                       ["sample"], "abc"),
-    "probe-x": (BIMODAL, ["probe", "--x", "foo", "--t", "1"], None),
-    "bench-repeats": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--repeats", "0"], None),
-    "bench-devices": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--devices", "a"], None),
+                      "mixture.variances = 1, 1\n", ["sample"]),
+    "probe-x": (BIMODAL, ["probe", "--x", "foo", "--t", "1"]),
+    "bench-repeats": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--repeats", "0"]),
+    "bench-devices": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--devices", "a"]),
     "recompute-anchor-typo": (BIMODAL + "sampler.mode = aggressive\n"
-                              "sampler.recompute_anchor_eps = ture\n", ["sample"], None),
+                              "sampler.recompute_anchor_eps = ture\n", ["sample"]),
     "mixture-weights-nan": ("mixture.weights = nan, 0.5\nmixture.means = -2; 2\n"
-                            "mixture.variances = 1, 1\n", ["sample"], None),
-    "eta-without-eta-rule": (BIMODAL + "sampler.eta = 0.3\n", ["sample"], None),
-    "overhead-without-eval": (BIMODAL + "latency.overhead_ms = 1\n", ["sample"], None),
+                            "mixture.variances = 1, 1\n", ["sample"]),
+    "eta-without-eta-rule": (BIMODAL + "sampler.eta = 0.3\n", ["sample"]),
+    "overhead-without-eval": (BIMODAL + "latency.overhead_ms = 1\n", ["sample"]),
     "mixture-key-state-independent": ("denoiser.kind = state-independent\ndim = 1\n"
-                                      "mixture.weights = 1\n", ["sample"], None),
-    "denoiser-seed-mixture": (BIMODAL + "denoiser.seed = 3\n", ["sample"], None),
-    "latency-eval-negative": (BIMODAL + "latency.eval_ms = -1\n", ["sample"], None),
+                                      "mixture.weights = 1\n", ["sample"]),
+    "denoiser-seed-mixture": (BIMODAL + "denoiser.seed = 3\n", ["sample"]),
+    "latency-eval-negative": (BIMODAL + "latency.eval_ms = -1\n", ["sample"]),
     "latency-overhead-negative": (BIMODAL + "latency.eval_ms = 1\nlatency.overhead_ms = -1\n",
-                                  ["sample"], None),
-    "perturb-scale-negative": (BIMODAL + "denoiser.perturb_scale = -0.5\n", ["sample"], None),
+                                  ["sample"]),
+    "perturb-scale-negative": (BIMODAL + "denoiser.perturb_scale = -0.5\n", ["sample"]),
+    # past threading.TIMEOUT_MAX time.sleep raises OverflowError or OSError
+    "latency-eval-too-long": (BIMODAL + "latency.eval_ms = 1e300\n", ["sample"]),
+    "latency-overhead-too-long": (BIMODAL + "sampler.mode = aggressive\nlatency.eval_ms = 1\n"
+                                  "latency.overhead_ms = 1e300\n", ["sample"]),
+    # RngStream keys hold 48 bits of a chain seed, the state-independent denoiser 32
+    "seed-negative": (BIMODAL + "seed = -1\n", ["sample"]),
+    "seed-past-key-range": (BIMODAL + "seed = 281474976710655\nsamples = 2\n", ["sample"]),
+    "denoiser-seed-past-32-bits": ("denoiser.kind = state-independent\ndim = 1\n"
+                                   "denoiser.seed = 4294967296\n", ["sample"]),
+    "mixture-means-empty": ("mixture.means =\n", ["sample"]),
     # /dev/null is not a directory, so nothing can be created below it
     "output-samples-path": (BIMODAL + "schedule.T = 4\noutput.samples = /dev/null/s.csv\n",
-                            ["sample"], None),
+                            ["sample"]),
     "output-report-path": (BIMODAL + "schedule.T = 4\noutput.report = /dev/null/r.json\n",
-                           ["sample"], None),
+                           ["sample"]),
     "output-rounds-path": (BIMODAL + "schedule.T = 4\noutput.rounds = /dev/null/r.csv\n",
-                           ["sample"], None),
+                           ["sample"]),
     "bench-out-path": (BIMODAL + "latency.eval_ms = 1\nschedule.T = 4\n",
-                       ["bench", "--devices", "2", "--repeats", "1", "--out", "/dev/null/b.csv"],
-                       None),
-    "dump-schedule-out-path": (BIMODAL, ["dump-schedule", "--out", "/dev/null/d.csv"], None),
+                       ["bench", "--devices", "2", "--repeats", "1", "--out", "/dev/null/b.csv"]),
+    "dump-schedule-out-path": (BIMODAL, ["dump-schedule", "--out", "/dev/null/d.csv"]),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
-def test_bad_input_exits_config(tmp_path, monkeypatch, capsys, case):
-    text, (command, *flags), worker_cap = BAD_INPUTS[case]
-    if worker_cap is not None:
-        from skipdiff.parallel import WORKER_CAP_ENV
-        monkeypatch.setenv(WORKER_CAP_ENV, worker_cap)
+def test_bad_input_exits_config(tmp_path, capsys, case):
+    text, (command, *flags) = BAD_INPUTS[case]
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+
+
+EDGE_TOKENS = ["nan", "inf", "-1", "0", "1e300", "", "abc", "1,2", "-2 0; 2",
+               str(2**64), str(10**30)]
+# sizes stay small and latencies short or unsleepable, so each run takes milliseconds
+SIZE_TOKENS = ["-1", "0", "", "abc", "1,2", "nan", "1e300"]
+LATENCY_TOKENS = ["-1", "nan", "inf", "1e300", str(2**64), "", "abc"]
+VALID_TOKENS = {  # one or two accepted values per key, so runs get past the first check
+    "schedule.kind": ["linear", "cosine"], "schedule.T": ["3", "9"],
+    "schedule.beta_start": ["0.002"], "schedule.beta_end": ["0.4"],
+    "schedule.offset": ["0.008"], "grid.N": ["4"], "grid.sigma_min": ["0.02"],
+    "grid.sigma_max": ["10"], "grid.rho": ["3"],
+    "denoiser.kind": ["mixture", "state-independent"], "denoiser.seed": ["3"],
+    "denoiser.perturb_scale": ["0.1"], "mixture.weights": ["0.5, 0.5"],
+    "mixture.means": ["-2; 2", "-2 0; 2 0"], "mixture.variances": ["1, 1"],
+    "latency.eval_ms": ["0", "0.01"], "latency.overhead_ms": ["0", "0.01"],
+    "sampler.family": ["ddpm", "ddim", "euler"],
+    "sampler.mode": ["sequential", "aggressive", "conservative"],
+    "sampler.devices": ["2", "3"], "sampler.rule": ["deterministic", "ddpm", "eta"],
+    "sampler.eta": ["0.5"], "sampler.subsequence": ["50, 25, 0", "3, 1, 0"],
+    "sampler.recompute_anchor_eps": ["true", "false"], "seed": ["7"], "samples": ["2"],
+    "dim": ["1", "2"], "output.samples": ["s.csv"], "output.report": ["r.json"],
+    "output.rounds": ["r.csv"],
+}
+
+
+def _edge_tokens(key):
+    if key in ("schedule.T", "grid.N", "samples", "sampler.devices", "dim"):
+        return SIZE_TOKENS
+    return LATENCY_TOKENS if key.startswith("latency.") else EDGE_TOKENS
+
+
+EDGE_PAIRS = [(key, token) for key in sorted(KNOWN_KEYS) for token in _edge_tokens(key)]
+
+
+@st.composite
+def config_texts(draw):
+    """Up to two edge values on top of up to four accepted ones."""
+    edge = draw(st.lists(st.sampled_from(EDGE_PAIRS), min_size=1, max_size=2,
+                         unique_by=lambda pair: pair[0]))
+    valid = draw(st.lists(st.sampled_from(sorted(KNOWN_KEYS)), max_size=4, unique=True))
+    entries = dict(edge)
+    for key in valid:
+        entries.setdefault(key, draw(st.sampled_from(VALID_TOKENS[key])))
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing values are drawn on purpose
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=config_texts())
+def test_fuzzed_config_never_raises(tmp_path_factory, text):
+    # relative output paths such as "abc" land in a fresh directory
+    workdir = tmp_path_factory.mktemp("fuzz")
+    (workdir / "run.cfg").write_text(text)
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        assert main(["sample", "--config", "run.cfg"]) in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+    finally:
+        os.chdir(cwd)
 
 
 @pytest.mark.parametrize("command", [

@@ -24,7 +24,6 @@ from skipdiff import (
 )
 from skipdiff import parallel
 from skipdiff.errors import InvalidPlanParams, WorkerFailure
-from skipdiff.parallel import WORKER_CAP_ENV
 from skipdiff.rng import derive_noise
 
 
@@ -187,25 +186,12 @@ class TestExecuteRound:
     def test_results_ordered_by_task_index(self, sched50):
         den = StateIndependent(seed=2, dim=1)
         tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
-        vals, report = execute_round(den, sched50, tasks, 3, anchor_t=9,
-                                     submit_order=[2, 0, 1])
+        vals, report = execute_round(den, sched50, tasks, 3, anchor_t=9)
         from skipdiff import state_independent_eps
+        assert len(vals) == 3
         for v, (_, t) in zip(vals, tasks):
             np.testing.assert_array_equal(v, state_independent_eps(2, t, 1))
         assert report.parallel_evals == 3
-        assert len(report.worker_spans) == 3
-
-    def test_wall_is_max_not_sum(self, sched50, bimodal_1d):
-        den = Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=40.0))
-        tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
-        _, report = execute_round(den, sched50, tasks, 3, anchor_t=9)
-        # workers ran concurrently: the round is bounded by the slowest span,
-        # not the sum (absolute numbers vary with the host's sleep resolution)
-        longest = max(end - start for _, start, end in report.worker_spans)
-        total = sum(end - start for _, start, end in report.worker_spans)
-        assert report.round_wall_ms >= 40.0
-        assert report.round_wall_ms < 0.7 * total
-        assert report.round_wall_ms <= longest + 0.5 * total
 
     def test_virtual_clock_round(self, sched50, bimodal_1d):
         den = Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=40.0, dispatch_overhead_ms=2.0))
@@ -229,37 +215,16 @@ class TestExecuteRound:
 
 
 class TestDeterminism:
-    def test_submit_order_invariance(self, sched50, bimodal_1d):
+    def test_submit_order_invariance(self, sched50, bimodal_1d, shuffle_rounds):
         den = AnalyticEps(bimodal_1d)
         stream = RngStream(seed=13)
         x_T = derive_noise(stream, 50, Role.INIT, 1)
         op = Operator("ddim", den, sched50, rule=VarianceRule.ddpm_induced())
         ref, _ = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream)
         for order_seed in (1, 2, 3):
-            traj, _ = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream,
-                                   submit_order_seed=order_seed)
+            shuffle_rounds(order_seed)
+            traj, _ = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream)
             assert _ident(traj, ref)
-
-    def test_worker_count_invariance(self, sched50, bimodal_1d):
-        den = AnalyticEps(bimodal_1d)
-        stream = RngStream(seed=13)
-        x_T = derive_noise(stream, 50, Role.INIT, 1)
-        op = Operator("ddim", den, sched50, rule=VarianceRule.ddpm_induced())
-        ref, _ = run_parallel(op, x_T, 4, Mode.CONSERVATIVE, stream)
-        for workers in (1, 2, 8):
-            traj, _ = run_parallel(op, x_T, 4, Mode.CONSERVATIVE, stream, workers=workers)
-            assert _ident(traj, ref)
-
-    def test_env_worker_cap(self, sched50, bimodal_1d, monkeypatch):
-        monkeypatch.setenv(WORKER_CAP_ENV, "1")
-        den = AnalyticEps(bimodal_1d)
-        stream = RngStream(seed=13)
-        x_T = derive_noise(stream, 50, Role.INIT, 1)
-        op = Operator("ddim", den, sched50, rule=VarianceRule.ddpm_induced())
-        capped, _ = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream)
-        monkeypatch.delenv(WORKER_CAP_ENV)
-        ref, _ = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream)
-        assert _ident(capped, ref)
 
 
 class TestFidelity:
@@ -329,7 +294,7 @@ class TestParallelEuler:
 
 class TestParallelEulerWrapperStack:
     """Euler runs through the same denoiser wrappers and round dispatch as
-    DDIM: latency, virtual clock, counting and submit order all apply."""
+    DDIM: latency, virtual clock, counting and stacked rounds all apply."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -347,12 +312,12 @@ class TestParallelEulerWrapperStack:
         assert traj.wall_ms == len(reports) * eval_ms == rounds * eval_ms
 
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_submit_order_invariance(self, grid, bimodal_1d, mode):
+    def test_submit_order_invariance(self, grid, bimodal_1d, shuffle_rounds, mode):
         op = Operator("euler", AnalyticEps(bimodal_1d), grid)
         ref, _ = run_parallel(op, np.array([1.5]), 4, mode, None)
         for order_seed in (1, 2, 3):
-            traj, _ = run_parallel(op, np.array([1.5]), 4, mode, None,
-                                   submit_order_seed=order_seed)
+            shuffle_rounds(order_seed)
+            traj, _ = run_parallel(op, np.array([1.5]), 4, mode, None)
             assert _ident(traj, ref)
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -426,13 +391,14 @@ class TestStackedRounds:
         monkeypatch.setattr(parallel, "evaluate", recording)
         return calls
 
-    @pytest.mark.parametrize("workers", [None, 4], ids=["default", "workers-ignored"])
+    @pytest.mark.parametrize("clock", [None, VirtualClock], ids=["default", "virtual-clock"])
     @pytest.mark.parametrize("mode", list(Mode))
     def test_one_call_per_round_on_calling_thread(self, sched50, bimodal_1d, monkeypatch,
-                                                  mode, workers):
+                                                  mode, clock):
         calls = self._record(monkeypatch)
         op = Operator("ddim", AnalyticEps(bimodal_1d), sched50)
-        traj, reports = run_parallel(op, np.array([0.3]), 4, mode, None, workers=workers)
+        traj, reports = run_parallel(op, np.array([0.3]), 4, mode, None,
+                                     clock=clock() if clock else None)
         assert len(calls) == len(reports)
         assert {ident for ident, _, _ in calls} == {threading.get_ident()}
         assert [(shape, rows) for _, shape, rows in calls] == \
@@ -446,7 +412,6 @@ class TestStackedRounds:
         tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
         _, report = execute_round(den, sched50, tasks, 3, anchor_t=9)
         assert 40.0 <= report.round_wall_ms < 80.0
-        assert len({(start, end) for _, start, end in report.worker_spans}) == 1
 
     def test_empty_round_makes_no_call(self, bimodal_1d, monkeypatch):
         # N = 17 on 4 devices: the last aggressive block drafts only the
