@@ -27,7 +27,7 @@ from .errors import ConfigError, ParseError, SkipDiffError, SuiteNotFound
 from .metrics import SampleSet, mmd_gaussian, sliced_w2
 from .parallel import Mode, run_parallel
 from .rng import RngStream, Role, derive_noise
-from .sequential import Operator, sample
+from .sequential import sample
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -40,12 +40,10 @@ EXIT_SUITE_NOT_FOUND = 5
 def _run_once(cfg: RunConfig, seed: int):
     """One sampling run; returns (trajectory, round reports)."""
     stream = RngStream(seed=seed)
-    euler = cfg.family == "euler"
-    op = Operator(cfg.family, cfg.denoiser, cfg.grid if euler else cfg.schedule,
-                  cfg.subsequence, cfg.rule)
+    op = cfg.op
     x = derive_noise(stream, op.top, Role.INIT, cfg.dim)
-    if euler:
-        x = cfg.grid.sigmas[0] * x  # the variance-exploding start
+    if op.family == "euler":
+        x = op.levels.sigmas[0] * x  # the variance-exploding start
     if cfg.mode == "sequential":
         return sample(op, x, stream), []
     return run_parallel(op, x, cfg.devices, Mode(cfg.mode), stream,
@@ -241,7 +239,7 @@ def cmd_dump_schedule(args) -> int:
 def cmd_probe(args) -> int:
     cfg = load_config_file(args.config)
     x = np.array(_parse_list(args.x, float, "--x"))
-    eps = evaluate(cfg.denoiser, cfg.schedule, x, args.t)
+    eps = evaluate(cfg.op.denoiser, cfg.schedule, x, args.t)
     print(" ".join(repr(float(v)) for v in np.atleast_1d(eps)))
     return EXIT_OK
 

@@ -22,6 +22,7 @@ Lists are comma-separated; vector lists are space-separated vectors joined
 by semicolons. Lines starting with # are comments.
 """
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -35,71 +36,50 @@ from .denoiser import (
     Perturbed,
     StateIndependent,
 )
-from .errors import ConfigError
-from .schedule import build_cosine, build_linear_beta, build_sigma_grid
+from .errors import ConfigError, SkipDiffError
+from .schedule import NoiseSchedule, build_cosine, build_linear_beta, build_sigma_grid
+from .sequential import Operator
 from .transitions import VarianceRule
 
 # a sleep's deadline, now + latency, must stay below TIMEOUT_MAX; half leaves room for uptime
 _MAX_SLEEP_MS = threading.TIMEOUT_MAX / 2 * 1000.0
 _SEED_KEYS = 2**48  # RngStream keys use the low 48 bits of a chain seed
+_MAX_DIM = np.iinfo(np.intp).max // 8  # the longest float64 vector numpy can size in bytes
 
+# key -> (default, meaning); a key whose default is None is absent unless given.
+# The report echoes the defaults in this order, then the other given keys.
 KNOWN_KEYS = {
-    "schedule.kind": "linear | cosine",
-    "schedule.T": "total discrete steps",
-    "schedule.beta_start": "linear schedule start rate",
-    "schedule.beta_end": "linear schedule end rate",
-    "schedule.offset": "cosine schedule offset",
-    "grid.N": "Euler steps",
-    "grid.sigma_min": "smallest positive sigma",
-    "grid.sigma_max": "largest sigma",
-    "grid.rho": "grid spacing exponent",
-    "denoiser.kind": "mixture | state-independent",
-    "denoiser.seed": "state-independent stream seed",
-    "denoiser.perturb_scale": "optional perturbation wrapper magnitude",
-    "mixture.weights": "component weights (comma list)",
-    "mixture.means": "component means (semicolon-separated vectors)",
-    "mixture.variances": "per-component isotropic variances (comma list)",
-    "latency.eval_ms": "simulated per-evaluation latency",
-    "latency.overhead_ms": "simulated per-round dispatch overhead",
-    "sampler.family": "ddpm | ddim | euler",
-    "sampler.mode": "sequential | aggressive | conservative",
-    "sampler.devices": "parallel devices (block size k)",
-    "sampler.rule": "deterministic | ddpm | eta",
-    "sampler.eta": "eta for rule=eta",
-    "sampler.subsequence": "DDIM/DDPM timestep subsequence (comma list, ends at 0)",
-    "sampler.recompute_anchor_eps": "aggressive-mode ablation: re-evaluate eps at refined anchors",
-    "seed": "base RNG seed; run i uses seed+i",
-    "samples": "number of samples to generate",
-    "dim": "state dimension (required for state-independent denoiser)",
-    "output.samples": "samples CSV path",
-    "output.report": "JSON report path",
-    "output.rounds": "round-report CSV path",
-}
-
-_DEFAULTS = {
-    "schedule.kind": "linear",
-    "schedule.T": "50",
-    "schedule.beta_start": "0.002",
-    "schedule.beta_end": "0.4",
-    "schedule.offset": "0.008",
-    "grid.N": "32",
-    "grid.sigma_min": "0.02",
-    "grid.sigma_max": "10",
-    "grid.rho": "3",
-    "denoiser.kind": "mixture",
-    "denoiser.seed": "0",
-    "denoiser.perturb_scale": "0",
-    "mixture.weights": "1",
-    "mixture.means": "0 0",
-    "mixture.variances": "1",
-    "sampler.family": "ddim",
-    "sampler.mode": "sequential",
-    "sampler.devices": "1",
-    "sampler.rule": "deterministic",
-    "sampler.eta": "0.5",
-    "sampler.recompute_anchor_eps": "false",
-    "seed": "0",
-    "samples": "1",
+    "schedule.kind": ("linear", "linear | cosine"),
+    "schedule.T": ("50", "total discrete steps"),
+    "schedule.beta_start": ("0.002", "linear schedule start rate"),
+    "schedule.beta_end": ("0.4", "linear schedule end rate"),
+    "schedule.offset": ("0.008", "cosine schedule offset"),
+    "grid.N": ("32", "Euler steps"),
+    "grid.sigma_min": ("0.02", "smallest positive sigma"),
+    "grid.sigma_max": ("10", "largest sigma"),
+    "grid.rho": ("3", "grid spacing exponent"),
+    "denoiser.kind": ("mixture", "mixture | state-independent"),
+    "denoiser.seed": ("0", "state-independent stream seed"),
+    "denoiser.perturb_scale": ("0", "optional perturbation wrapper magnitude"),
+    "mixture.weights": ("1", "component weights (comma list)"),
+    "mixture.means": ("0 0", "component means (semicolon-separated vectors)"),
+    "mixture.variances": ("1", "per-component isotropic variances (comma list)"),
+    "latency.eval_ms": (None, "simulated per-evaluation latency"),
+    "latency.overhead_ms": (None, "simulated per-round dispatch overhead"),
+    "sampler.family": ("ddim", "ddpm | ddim | euler"),
+    "sampler.mode": ("sequential", "sequential | aggressive | conservative"),
+    "sampler.devices": ("1", "parallel devices (block size k)"),
+    "sampler.rule": ("deterministic", "deterministic | ddpm | eta"),
+    "sampler.eta": ("0.5", "eta for rule=eta"),
+    "sampler.subsequence": (None, "DDIM/DDPM timestep subsequence (comma list, ends at 0)"),
+    "sampler.recompute_anchor_eps": (
+        "false", "aggressive-mode ablation: re-evaluate eps at refined anchors"),
+    "seed": ("0", "base RNG seed; run i uses seed+i"),
+    "samples": ("1", "number of samples to generate"),
+    "dim": (None, "state dimension (required for state-independent denoiser)"),
+    "output.samples": (None, "samples CSV path"),
+    "output.report": (None, "JSON report path"),
+    "output.rounds": (None, "round-report CSV path"),
 }
 
 
@@ -124,179 +104,161 @@ def parse_kv_text(text: str) -> dict:
 
 @dataclass
 class RunConfig:
-    """Validated, constructible pipeline description."""
+    """Validated, runnable description of a run: its Operator and how to drive it."""
 
     raw: dict = field(repr=False)
-    schedule: object = None
-    grid: object = None
-    mixture: GaussianMixture | None = None
-    denoiser: object = None
-    family: str = "ddim"
-    mode: str = "sequential"
-    devices: int = 1
-    rule: VarianceRule = None
-    subsequence: list | None = None
-    recompute_anchor_eps: bool = False
-    latency: LatencyModel | None = None
-    seed: int = 0
-    samples: int = 1
-    dim: int = 1
-    out_samples: str | None = None
-    out_report: str | None = None
-    out_rounds: str | None = None
-
-
-def _get(kv, key, parse, kind, minimum, maximum):
-    try:
-        val = parse(kv[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected {kind}, got {kv[key]!r}") from None
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
-    if maximum is not None and val > maximum:
-        raise ConfigError(f"{key}: must be <= {maximum}, got {val}")
-    return val
-
-
-def _get_int(kv, key, minimum=None, maximum=None):
-    return _get(kv, key, int, "integer", minimum, maximum)
+    op: Operator
+    schedule: NoiseSchedule  # read by dump-schedule and probe in every family
+    mixture: GaussianMixture | None
+    mode: str
+    devices: int
+    recompute_anchor_eps: bool
+    latency: LatencyModel | None
+    seed: int
+    samples: int
+    dim: int
+    out_samples: str | None
+    out_report: str | None
+    out_rounds: str | None
 
 
 def _finite(text: str) -> float:
     val = float(text)
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise ValueError(f"non-finite value {text!r}")
     return val
 
 
-def _get_float(kv, key, minimum=None, maximum=None):
-    return _get(kv, key, _finite, "finite number", minimum, maximum)
-
-
-def _get_floats(kv, key):
+def _number(kv, key, parse=_finite, lo=None, hi=None):
+    """kv[key] as an integer (parse=int) or a finite float, within [lo, hi]."""
     try:
+        val = parse(kv[key])
+    except ValueError:
+        expected = "integer" if parse is int else "finite number"
+        raise ValueError(f"{key}: expected {expected}, got {kv[key]!r}") from None
+    if lo is not None and val < lo:
+        raise ValueError(f"{key}: must be >= {lo}, got {val}")
+    if hi is not None and val > hi:
+        raise ValueError(f"{key}: must be <= {hi}, got {val}")
+    return val
+
+
+def _floats(kv, key, rows=False):
+    """kv[key] as finite floats separated by commas or spaces or, with `rows`,
+    as one list per semicolon-separated vector of space-separated floats."""
+    try:
+        if rows:
+            return [[_finite(v) for v in row.split()] for row in kv[key].split(";")]
         return [_finite(v) for v in kv[key].replace(",", " ").split()]
     except ValueError:
-        raise ConfigError(f"{key}: expected finite number list, got {kv[key]!r}") from None
+        raise ValueError(f"{key}: expected finite number list, got {kv[key]!r}") from None
+
+
+def _applies(given, key, condition, where):
+    """Reject a given key that the run would ignore."""
+    if key in given and not condition:
+        raise ValueError(f"{key} applies to {where} only")
 
 
 def load_config(text: str) -> RunConfig:
+    """Config text to a runnable RunConfig; every bad value raises ConfigError."""
     given = parse_kv_text(text)
-    kv = {**_DEFAULTS, **given}
-    cfg = RunConfig(raw=dict(kv))
-
+    kv = {key: default for key, (default, _) in KNOWN_KEYS.items() if default is not None}
+    kv.update(given)
     try:
-        if kv["schedule.kind"] == "linear":
-            cfg.schedule = build_linear_beta(
-                _get_int(kv, "schedule.T", 1),
-                _get_float(kv, "schedule.beta_start"),
-                _get_float(kv, "schedule.beta_end"),
-            )
-        elif kv["schedule.kind"] == "cosine":
-            cfg.schedule = build_cosine(
-                _get_int(kv, "schedule.T", 1), _get_float(kv, "schedule.offset")
-            )
-        else:
-            raise ConfigError(f"schedule.kind: unknown kind {kv['schedule.kind']!r}")
-        cfg.grid = build_sigma_grid(
-            _get_int(kv, "grid.N", 1),
-            _get_float(kv, "grid.sigma_min"),
-            _get_float(kv, "grid.sigma_max"),
-            _get_float(kv, "grid.rho"),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
+        return _build(kv, given)
+    except (SkipDiffError, ValueError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    cfg.family = kv["sampler.family"]
-    if cfg.family not in ("ddpm", "ddim", "euler"):
-        raise ConfigError(f"sampler.family: unknown family {kv['sampler.family']!r}")
-    cfg.mode = kv["sampler.mode"]
-    if cfg.mode not in ("sequential", "aggressive", "conservative"):
-        raise ConfigError(f"sampler.mode: unknown mode {kv['sampler.mode']!r}")
-    cfg.devices = _get_int(kv, "sampler.devices", 1)
-    cfg.samples = _get_int(kv, "samples", 1, _SEED_KEYS)
-    cfg.seed = _get_int(kv, "seed", 0, _SEED_KEYS - cfg.samples)  # run i uses seed + i
+
+def _build(kv: dict, given: dict) -> RunConfig:
+    """Raises ValueError on a bad value; load_config reports it as a ConfigError."""
+    if kv["schedule.kind"] == "linear":
+        schedule = build_linear_beta(_number(kv, "schedule.T", int, 1),
+                                     _number(kv, "schedule.beta_start"),
+                                     _number(kv, "schedule.beta_end"))
+    elif kv["schedule.kind"] == "cosine":
+        schedule = build_cosine(_number(kv, "schedule.T", int, 1), _number(kv, "schedule.offset"))
+    else:
+        raise ValueError(f"schedule.kind: unknown kind {kv['schedule.kind']!r}")
+    grid = build_sigma_grid(_number(kv, "grid.N", int, 1), _number(kv, "grid.sigma_min"),
+                            _number(kv, "grid.sigma_max"), _number(kv, "grid.rho"))
+
+    family, mode = kv["sampler.family"], kv["sampler.mode"]
+    if family not in ("ddpm", "ddim", "euler"):
+        raise ValueError(f"sampler.family: unknown family {family!r}")
+    if mode not in ("sequential", "aggressive", "conservative"):
+        raise ValueError(f"sampler.mode: unknown mode {mode!r}")
     flag = kv["sampler.recompute_anchor_eps"].lower()
     if flag not in ("true", "1", "yes", "false", "0", "no"):
-        raise ConfigError(f"sampler.recompute_anchor_eps: expected true or false, got {flag!r}")
-    cfg.recompute_anchor_eps = flag in ("true", "1", "yes")
-    if cfg.recompute_anchor_eps and cfg.mode != "aggressive":
-        raise ConfigError("sampler.recompute_anchor_eps applies to sampler.mode = aggressive only")
+        raise ValueError(f"sampler.recompute_anchor_eps: expected true or false, got {flag!r}")
+    recompute = flag in ("true", "1", "yes")
+    _applies(given, "sampler.recompute_anchor_eps", mode == "aggressive" or not recompute,
+             "sampler.mode = aggressive")
 
-    rule_name = kv["sampler.rule"]
-    if rule_name == "deterministic":
-        cfg.rule = VarianceRule.deterministic()
-    elif rule_name == "ddpm":
-        cfg.rule = VarianceRule.ddpm_induced()
-    elif rule_name == "eta":
-        eta = _get_float(kv, "sampler.eta")
-        if not 0.0 <= eta <= 1.0:
-            raise ConfigError(f"sampler.eta: must lie in [0, 1], got {eta}")
-        cfg.rule = VarianceRule.eta_scaled(eta)
-    else:
-        raise ConfigError(f"sampler.rule: unknown rule {rule_name!r}")
-    if "sampler.eta" in given and rule_name != "eta":
-        raise ConfigError("sampler.eta applies to sampler.rule = eta only")
+    rules = {"deterministic": VarianceRule.deterministic(), "ddpm": VarianceRule.ddpm_induced(),
+             "eta": VarianceRule.eta_scaled(_number(kv, "sampler.eta"))}
+    rule = rules.get(kv["sampler.rule"])
+    if rule is None:
+        raise ValueError(f"sampler.rule: unknown rule {kv['sampler.rule']!r}")
+    _applies(given, "sampler.eta", kv["sampler.rule"] == "eta", "sampler.rule = eta")
 
+    _applies(given, "sampler.subsequence", family != "euler", "the ddim and ddpm families")
+    labels = None
     if "sampler.subsequence" in kv:
-        if cfg.family == "euler":
-            raise ConfigError("sampler.subsequence applies to the ddim and ddpm families only")
         try:
-            cfg.subsequence = [int(v) for v in kv["sampler.subsequence"].split(",")]
+            labels = [int(v) for v in kv["sampler.subsequence"].split(",")]
         except ValueError:
-            raise ConfigError("sampler.subsequence: expected comma-separated integers") from None
+            raise ValueError("sampler.subsequence: expected comma-separated integers") from None
 
-    # denoiser
-    if kv["denoiser.kind"] == "mixture":
-        weights = _get_floats(kv, "mixture.weights")
-        variances = _get_floats(kv, "mixture.variances")
-        try:
-            means = [[_finite(v) for v in vec.split()] for vec in kv["mixture.means"].split(";")]
-            cfg.mixture = GaussianMixture(
-                weights=np.array(weights), means=np.array(means), variances=np.array(variances)
-            )
-        except Exception as exc:
-            raise ConfigError(f"mixture: {exc}") from exc
-        cfg.dim = cfg.mixture.dim
-        cfg.denoiser = AnalyticEps(cfg.mixture)
-        if "denoiser.seed" in given:
-            raise ConfigError("denoiser.seed applies to denoiser.kind = state-independent only")
-    elif kv["denoiser.kind"] == "state-independent":
-        if any(key.startswith("mixture.") for key in given):
-            raise ConfigError("mixture.* keys apply to denoiser.kind = mixture only")
-        if "dim" not in kv:
-            raise ConfigError("dim is required for the state-independent denoiser")
-        cfg.dim = _get_int(kv, "dim", 1)
-        cfg.denoiser = StateIndependent(seed=_get_int(kv, "denoiser.seed", 0, 2**32 - 1),
-                                        dim=cfg.dim)
+    kind = kv["denoiser.kind"]
+    _applies(given, "denoiser.seed", kind == "state-independent",
+             "denoiser.kind = state-independent")
+    for key in ("mixture.weights", "mixture.means", "mixture.variances"):
+        _applies(given, key, kind == "mixture", "denoiser.kind = mixture")
+    dim = _number(kv, "dim", int, 1, _MAX_DIM) if "dim" in kv else None
+    mixture = None
+    if kind == "mixture":
+        mixture = GaussianMixture(weights=_floats(kv, "mixture.weights"),
+                                  means=_floats(kv, "mixture.means", rows=True),
+                                  variances=_floats(kv, "mixture.variances"))
+        if dim is not None and dim != mixture.dim:
+            raise ValueError(f"dim={kv['dim']} disagrees with denoiser dim {mixture.dim}")
+        dim = mixture.dim
+        denoiser = AnalyticEps(mixture)
+    elif kind == "state-independent":
+        if dim is None:
+            raise ValueError("dim is required for the state-independent denoiser")
+        denoiser = StateIndependent(seed=_number(kv, "denoiser.seed", int, 0, 2**32 - 1), dim=dim)
     else:
-        raise ConfigError(f"denoiser.kind: unknown kind {kv['denoiser.kind']!r}")
-    if "dim" in kv and _get_int(kv, "dim", 1) != cfg.dim:
-        raise ConfigError(f"dim={kv['dim']} disagrees with denoiser dim {cfg.dim}")
+        raise ValueError(f"denoiser.kind: unknown kind {kind!r}")
 
-    scale = _get_float(kv, "denoiser.perturb_scale", 0.0)
+    scale = _number(kv, "denoiser.perturb_scale", lo=0.0)
     if scale > 0:
-        cfg.denoiser = Perturbed(cfg.denoiser, scale)
-    if "latency.overhead_ms" in given and "latency.eval_ms" not in given:
-        raise ConfigError("latency.overhead_ms applies only together with latency.eval_ms")
+        denoiser = Perturbed(denoiser, scale)
+    _applies(given, "latency.overhead_ms", "latency.eval_ms" in given,
+             "runs that set latency.eval_ms")
+    latency = None
     if "latency.eval_ms" in kv:
-        cfg.latency = LatencyModel(
-            eval_time_ms=_get_float(kv, "latency.eval_ms", 0.0, _MAX_SLEEP_MS),
-            dispatch_overhead_ms=_get_float(kv, "latency.overhead_ms", 0.0, _MAX_SLEEP_MS)
-            if "latency.overhead_ms" in kv
-            else 0.0,
-        )
-        cfg.denoiser = Latency(cfg.denoiser, cfg.latency)
+        latency = LatencyModel(*[_number(kv, key, lo=0.0, hi=_MAX_SLEEP_MS)
+                                 for key in ("latency.eval_ms", "latency.overhead_ms") if key in kv])
+        denoiser = Latency(denoiser, latency)
 
-    if cfg.family == "euler" and cfg.mixture is None:
-        raise ConfigError("sampler.family=euler requires a mixture denoiser")
-
-    cfg.out_samples = kv.get("output.samples")
-    cfg.out_report = kv.get("output.report")
-    cfg.out_rounds = kv.get("output.rounds")
-    return cfg
+    if family == "euler" and mixture is None:
+        raise ValueError("sampler.family=euler requires a mixture denoiser")
+    samples = _number(kv, "samples", int, 1, _SEED_KEYS)
+    return RunConfig(
+        raw=kv,
+        op=Operator(family, denoiser, grid if family == "euler" else schedule, labels, rule),
+        schedule=schedule, mixture=mixture, mode=mode,
+        devices=_number(kv, "sampler.devices", int, 1),
+        recompute_anchor_eps=recompute, latency=latency,
+        seed=_number(kv, "seed", int, 0, _SEED_KEYS - samples),  # run i uses seed + i
+        samples=samples, dim=dim,
+        out_samples=kv.get("output.samples"),
+        out_report=kv.get("output.report"),
+        out_rounds=kv.get("output.rounds"),
+    )
 
 
 def load_config_file(path: str) -> RunConfig:

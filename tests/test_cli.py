@@ -94,14 +94,15 @@ class TestSample:
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["sample", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
-    def test_runtime_error_removes_partial_outputs(self, tmp_path, capsys):
-        # subsequence for a stochastic run hits no error, so force a runtime
-        # failure via an invalid subsequence instead
+    def test_failed_write_removes_partial_outputs(self, tmp_path, capsys):
+        # the samples CSV is written first; the report below /dev/null then cannot be
         cfg = write_cfg(tmp_path, BIMODAL + (
-            f"sampler.subsequence = 50, 10\n"
+            f"schedule.T = 4\n"
             f"output.samples = {tmp_path}/p.csv\n"
+            f"output.report = /dev/null/r.json\n"
         ))
-        assert main(["sample", "--config", cfg]) == EXIT_RUNTIME
+        assert main(["sample", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
@@ -164,6 +165,11 @@ BAD_INPUTS = {
     "denoiser-seed-past-32-bits": ("denoiser.kind = state-independent\ndim = 1\n"
                                    "denoiser.seed = 4294967296\n", ["sample"]),
     "mixture-means-empty": ("mixture.means =\n", ["sample"]),
+    "subsequence-not-ending-at-zero": (BIMODAL + "sampler.subsequence = 50, 10\n", ["sample"]),
+    "subsequence-past-T": (BIMODAL + "sampler.subsequence = 60, 30, 0\n", ["sample"]),
+    # numpy cannot size a float64 state of 2**60 entries in bytes
+    "dim-2**60": ("denoiser.kind = state-independent\ndim = 1152921504606846976\n", ["sample"]),
+    "dim-2**63": ("denoiser.kind = state-independent\ndim = 9223372036854775808\n", ["sample"]),
     # /dev/null is not a directory, so nothing can be created below it
     "output-samples-path": (BIMODAL + "schedule.T = 4\noutput.samples = /dev/null/s.csv\n",
                             ["sample"]),
@@ -210,7 +216,9 @@ VALID_TOKENS = {  # one or two accepted values per key, so runs get past the fir
 
 
 def _edge_tokens(key):
-    if key in ("schedule.T", "grid.N", "samples", "sampler.devices", "dim"):
+    if key == "dim":  # past numpy's byte-size limit, so rejected before any allocation
+        return SIZE_TOKENS + [str(2**60), str(2**64)]
+    if key in ("schedule.T", "grid.N", "samples", "sampler.devices"):
         return SIZE_TOKENS
     return LATENCY_TOKENS if key.startswith("latency.") else EDGE_TOKENS
 

@@ -35,11 +35,11 @@ class TestLoadConfig:
     def test_defaults(self):
         cfg = load_config("")
         assert cfg.schedule.T == 50
-        assert cfg.family == "ddim"
+        assert cfg.op.family == "ddim"
         assert cfg.mode == "sequential"
         assert cfg.devices == 1
-        assert cfg.rule == VarianceRule.deterministic()
-        assert isinstance(cfg.denoiser, AnalyticEps)
+        assert cfg.op.rule == VarianceRule.deterministic()
+        assert isinstance(cfg.op.denoiser, AnalyticEps)
         assert cfg.dim == 2  # default mean "0 0"
 
     def test_mixture_parsing(self):
@@ -57,7 +57,7 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="dim"):
             load_config("denoiser.kind = state-independent")
         cfg = load_config("denoiser.kind = state-independent\ndim = 3")
-        assert isinstance(cfg.denoiser, StateIndependent)
+        assert isinstance(cfg.op.denoiser, StateIndependent)
         assert cfg.dim == 3
 
     def test_dim_consistency_check(self):
@@ -68,14 +68,14 @@ class TestLoadConfig:
         cfg = load_config(
             "denoiser.perturb_scale = 0.1\nlatency.eval_ms = 5\nlatency.overhead_ms = 1\n"
         )
-        assert isinstance(cfg.denoiser, Latency)
-        assert isinstance(cfg.denoiser.inner, Perturbed)
+        assert isinstance(cfg.op.denoiser, Latency)
+        assert isinstance(cfg.op.denoiser.inner, Perturbed)
         assert cfg.latency.eval_time_ms == 5.0
         assert cfg.latency.dispatch_overhead_ms == 1.0
 
     def test_rules(self):
-        assert load_config("sampler.rule = ddpm").rule == VarianceRule.ddpm_induced()
-        assert load_config("sampler.rule = eta\nsampler.eta = 0.3").rule == VarianceRule.eta_scaled(0.3)
+        assert load_config("sampler.rule = ddpm").op.rule == VarianceRule.ddpm_induced()
+        assert load_config("sampler.rule = eta\nsampler.eta = 0.3").op.rule == VarianceRule.eta_scaled(0.3)
         with pytest.raises(ConfigError):
             load_config("sampler.rule = eta\nsampler.eta = 1.5")
         with pytest.raises(ConfigError):
@@ -83,7 +83,7 @@ class TestLoadConfig:
 
     def test_subsequence(self):
         cfg = load_config("sampler.subsequence = 50, 25, 0")
-        assert cfg.subsequence == [50, 25, 0]
+        assert cfg.op.labels == (50, 25, 0)
         with pytest.raises(ConfigError):
             load_config("sampler.subsequence = a, b")
 
@@ -138,7 +138,7 @@ class TestLoadConfig:
 def test_readme_config_example_loads():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     cfg = load_config(readme.split("```ini\n", 1)[1].split("```", 1)[0])
-    assert (cfg.family, cfg.mode, cfg.devices) == ("ddim", "aggressive", 3)
+    assert (cfg.op.family, cfg.mode, cfg.devices) == ("ddim", "aggressive", 3)
 
 
 def test_load_config_file(tmp_path):
