@@ -239,6 +239,10 @@ def cmd_dump_schedule(args) -> int:
 def cmd_probe(args) -> int:
     cfg = load_config_file(args.config)
     x = np.array(_parse_list(args.x, float, "--x"))
+    if not 0 <= args.t <= cfg.schedule.T:
+        raise ConfigError(f"--t {args.t} outside 0..{cfg.schedule.T}")
+    if len(x) != cfg.dim or not np.isfinite(x).all():
+        raise ConfigError(f"--x must hold {cfg.dim} finite numbers, got {args.x!r}")
     eps = evaluate(cfg.op.denoiser, cfg.schedule, x, args.t)
     print(" ".join(repr(float(v)) for v in np.atleast_1d(eps)))
     return EXIT_OK

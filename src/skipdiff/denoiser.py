@@ -156,7 +156,7 @@ def state_independent_eps(seed: int, t: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Simulated cost of one network evaluation plus per-round dispatch overhead."""
+    """Simulated device time of one evaluation from its dispatch, plus per-round overhead."""
 
     eval_time_ms: float
     dispatch_overhead_ms: float = 0.0
@@ -181,13 +181,29 @@ class VirtualClock:
     def charge(self, ms: float):
         self.elapsed_ms += ms
 
+    def wait(self):
+        """Simulated work is ready as soon as it is charged."""
 
-def spend(ms: float, clock: VirtualClock | None = None):
-    """Charge `ms` to the clock, or sleep for it without one."""
-    if clock is not None:
-        clock.charge(ms)
-    elif ms > 0:
-        time.sleep(ms / 1000.0)
+
+class WallClock:
+    """Real time behind the VirtualClock interface: `charge(ms)` sets a ready
+    deadline ms after dispatch (queued behind a deadline still ahead), `wait`
+    sleeps out the rest, and host work in between overlaps the device time."""
+
+    def __init__(self):
+        self._origin = self._ready = time.monotonic()
+
+    @property
+    def elapsed_ms(self) -> float:
+        return (time.monotonic() - self._origin) * 1000.0
+
+    def charge(self, ms: float):
+        self._ready = max(self._ready, time.monotonic()) + ms / 1000.0
+
+    def wait(self):
+        rest = self._ready - time.monotonic()
+        if rest > 0:
+            time.sleep(rest)
 
 
 @dataclass(frozen=True)
@@ -220,7 +236,7 @@ class Perturbed:
 
 @dataclass(frozen=True)
 class Latency:
-    """Transparent wrapper: identical values, plus simulated evaluation cost."""
+    """Transparent wrapper: identical values, computed inside eval_time_ms from dispatch."""
 
     inner: "Denoiser"
     model: LatencyModel
@@ -254,7 +270,7 @@ def evaluate(
     s: NoiseSchedule | SigmaGrid,
     x: np.ndarray,
     t,
-    clock: VirtualClock | None = None,
+    clock: VirtualClock | WallClock | None = None,
 ) -> np.ndarray:
     """Single entry point the samplers and schedulers call.
 
@@ -267,9 +283,10 @@ def evaluate(
     result is then bitwise evaluate(d, s, x[j], t[j]). Latency charges such
     a stacked call once; Counting counts its rows.
 
-    With a VirtualClock, Latency wrappers charge the clock instead of
-    sleeping (fast CI); without one they sleep for eval_time_ms of real
-    wall time, which is what the latency benchmarks measure.
+    Latency charges eval_time_ms to `clock` (a VirtualClock in fast CI) and
+    returns without waiting, so the caller can overlap host work before
+    clock.wait(); without one it waits on its own WallClock, as direct calls
+    should take eval_time_ms.
     """
     if isinstance(d, AnalyticEps):
         if isinstance(s, SigmaGrid):
@@ -289,8 +306,13 @@ def evaluate(
             return value + _perturbation(x, t, d.scale)
         return np.stack([v + _perturbation(xj, u, d.scale) for v, xj, u in zip(value, x, t)])
     if isinstance(d, Latency):
-        spend(d.model.eval_time_ms, clock)
-        return evaluate(d.inner, s, x, t, clock)
+        own = clock is None
+        clock = WallClock() if own else clock
+        clock.charge(d.model.eval_time_ms)
+        value = evaluate(d.inner, s, x, t, clock)
+        if own:
+            clock.wait()
+        return value
     if isinstance(d, Counting):
         d.count += 1 if np.isscalar(t) else len(t)
         return evaluate(d.inner, s, x, t, clock)

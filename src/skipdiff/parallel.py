@@ -18,7 +18,8 @@ Execution and determinism: each round is one evaluate() call over its drafts
 stacked in task order on a new leading axis, on the scheduler thread. All
 noise comes from counter-based RngStream keys and a stacked row equals its
 one-row call bitwise, so the order of the rows in a round never changes the
-output.
+output. The same keys let a round derive, during its simulated device time,
+the noise used up to the next round; its predictions are used after its wait.
 """
 
 from dataclasses import dataclass
@@ -26,11 +27,11 @@ from enum import Enum
 
 import numpy as np
 
-from .denoiser import Denoiser, VirtualClock, evaluate, latency_of, spend
+from .denoiser import Denoiser, VirtualClock, WallClock, evaluate, latency_of
 from .errors import InvalidPlanParams, PlanMismatch, WorkerFailure
 from .rng import RngStream, Role
 from .schedule import NoiseSchedule, SigmaGrid
-from .sequential import Operator, Trajectory, _now_ms
+from .sequential import Operator, Trajectory
 
 
 class Mode(Enum):
@@ -87,18 +88,21 @@ def execute_round(
     *,
     anchor_t: int,
     pool=None,
-    clock: VirtualClock | None = None,
+    clock: VirtualClock | WallClock | None = None,
+    meanwhile=None,
 ) -> tuple[list, RoundReport]:
     """Evaluate all (x, t) tasks in one round: one evaluate() call on this
     thread over the states stacked in task order (none if there are no
-    tasks). Returns the predictions by task index and the round's report.
-    `pool` is accepted and ignored, because `perfbench/micro.py` still
-    passes one."""
+    tasks), `meanwhile()` during its simulated device time, then the wait on
+    `clock` (default: a new WallClock). Returns the predictions by task index
+    and the round's report, timed from dispatch to the end of the wait.
+    `pool` is accepted and ignored, because `perfbench/micro.py` passes one."""
     if len(tasks) > devices:
         raise InvalidPlanParams(f"{len(tasks)} tasks exceed {devices} devices")
+    clock = clock or WallClock()
     model = latency_of(d)
-    t0 = _now_ms(clock)
-    spend(model.dispatch_overhead_ms if model else 0.0, clock)
+    t0 = clock.elapsed_ms
+    clock.charge(model.dispatch_overhead_ms if model else 0.0)
     results = []
     if tasks:
         try:
@@ -106,7 +110,10 @@ def execute_round(
                                     np.array([t for _, t in tasks]), clock))
         except Exception as exc:
             raise WorkerFailure(str(exc)) from exc
-    return results, RoundReport(anchor_t, len(tasks), _now_ms(clock) - t0)
+    if meanwhile is not None:
+        meanwhile()
+    clock.wait()
+    return results, RoundReport(anchor_t, len(tasks), clock.elapsed_ms - t0)
 
 
 def run_parallel(
@@ -116,40 +123,53 @@ def run_parallel(
     mode: Mode,
     stream: RngStream | None,
     *,
-    clock: VirtualClock | None = None,
+    clock: VirtualClock | WallClock | None = None,
     recompute_anchor_eps: bool = False,
 ) -> tuple[Trajectory, list[RoundReport]]:
     """Draft-and-refine run of any operator in either mode, one stacked
-    evaluation per round. `recompute_anchor_eps` (aggressive only) replaces
-    each cached anchor prediction with a stand-alone evaluation at the refined
-    state (ablation; adds one round and one eval per interior block). Tasks at
-    levels with no prediction (Euler's sigma = 0 node) are dropped: nothing
-    downstream consumes them."""
-    start = _now_ms(clock)
+    evaluation per round, timed on `clock` (default: a new WallClock).
+    `recompute_anchor_eps` (aggressive only) replaces each cached anchor
+    prediction with a stand-alone evaluation at the refined state (ablation;
+    adds one round and one eval per interior block). Tasks at levels with no
+    prediction (Euler's sigma = 0 node) are dropped: nothing consumes them."""
+    clock = clock or WallClock()
+    start = clock.elapsed_ms
     plan = plan_blocks(op.steps, devices, mode)
     aggressive = mode is Mode.AGGRESSIVE
     x = np.asarray(x, dtype=float)
     traj = Trajectory(states=[(op.labels[0], x)])
     reports: list[RoundReport] = []
+    noise, derived = {}, []  # z by (position, role); the blocks whose z is derived
 
-    def round_(tasks, anchor):
-        """Evaluate (x, position) tasks in one round; predictions by position."""
+    def derive_through(b):
+        """Derive the z that the drafts and transitions of blocks up to b take."""
+        for r, k in plan.blocks[len(derived):b + 1]:
+            i = op.steps - r
+            keys = [(i + j, Role.TRANSITION) for j in range(1, (k if aggressive else k + 1) + 1)]
+            keys += [(i + j, Role.DRAFT) for j in range(2, k + 1)]
+            noise.update({key: op.noise(stream, *key, x.shape) for key in keys})
+            derived.append(r)
+
+    def round_(tasks, anchor, b):
+        """Evaluate (x, position) tasks in one round of block b, deriving the
+        z needed before the next round meanwhile; predictions by position."""
         live = [(xx, i) for xx, i in tasks if op.predicts(i)]
         vals, report = execute_round(op.denoiser, op.levels, [(xx, op.level(i)) for xx, i in live],
-                                     devices, anchor_t=op.labels[anchor], clock=clock)
+                                     devices, anchor_t=op.labels[anchor], clock=clock,
+                                     meanwhile=lambda: derive_through(b + 1))
         reports.append(report)
         traj.eval_count += len(live)
         return {i: v for (_, i), v in zip(live, vals)}
 
     def advance(i, k, x, v, role=Role.TRANSITION):
-        return op.skip(i, k, x, v, op.noise(stream, i + k, role, x.shape))
+        return op.skip(i, k, x, v, noise.pop((i + k, role)))
 
     if aggressive:
-        v = round_([(x, 0)], 0)[0]
-    for r, k in plan.blocks:
+        v = round_([(x, 0)], 0, 0)[0]
+    for b, (r, k) in enumerate(plan.blocks):
         i = op.steps - r
         if not aggressive or (recompute_anchor_eps and i > 0):
-            v = round_([(x, i)], i)[i]
+            v = round_([(x, i)], i, b)[i]
         if k == 0:  # degenerate final conservative block: one unit step, no round
             x = advance(i, 1, x, v)
             traj.states.append((op.labels[i + 1], x))
@@ -159,7 +179,7 @@ def run_parallel(
         # their evaluation and take DRAFT keys.
         drafts = [advance(i, j, x, v, Role.TRANSITION if j == 1 else Role.DRAFT)
                   for j in range(1, k + 1)]
-        vals = round_([(drafts[j - 1], i + j) for j in range(1, k + 1)], i)
+        vals = round_([(drafts[j - 1], i + j) for j in range(1, k + 1)], i, b)
         x = drafts[0]
         traj.states.append((op.labels[i + 1], x))
         for j in range(2, (k if aggressive else k + 1) + 1):
@@ -176,5 +196,5 @@ def run_parallel(
         expected -= 1  # the final draft, at sigma = 0, is never dispatched
     if traj.eval_count != expected:
         raise PlanMismatch(f"{traj.eval_count} evals, plan expected {expected}")
-    traj.wall_ms = _now_ms(clock) - start
+    traj.wall_ms = clock.elapsed_ms - start
     return traj, reports

@@ -1,15 +1,16 @@
 """Single-stream baseline sampler and the sampling operator shared with the
 parallel schedulers. The sequential loop is the ground truth the parallel
 schedulers must match (exactly, for the state-independent denoiser) or
-approximate (within the skip-vs-compose bound, for real denoisers)."""
+approximate (within the skip-vs-compose bound, for real denoisers). Each
+step derives its transition noise during its evaluation's simulated device
+time, and makes the transition after the wait."""
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import Denoiser, VirtualClock, evaluate
+from .denoiser import Denoiser, VirtualClock, WallClock, evaluate
 from .errors import InvalidSubsequence, NonFiniteState
 from .rng import RngStream, Role
 from .schedule import NoiseSchedule, SigmaGrid
@@ -31,11 +32,6 @@ class Trajectory:
 
     def timesteps(self) -> list[int]:
         return [t for t, _ in self.states]
-
-
-def _now_ms(clock: VirtualClock | None) -> float:
-    """Wall time via a monotonic clock, or simulated time via a VirtualClock."""
-    return time.monotonic() * 1000.0 if clock is None else clock.elapsed_ms
 
 
 def predicted_x0(s: NoiseSchedule, x_t: np.ndarray, eps: np.ndarray, t: int) -> np.ndarray:
@@ -127,20 +123,24 @@ def sample(
     op: Operator,
     x: np.ndarray,
     stream: RngStream | None,
-    clock: VirtualClock | None = None,
+    clock: VirtualClock | WallClock | None = None,
 ) -> Trajectory:
-    """Sequential sampling: one evaluation and one unit step per label.
+    """Sequential sampling: one evaluation and one unit step per label, timed
+    on `clock` (default: a new WallClock).
 
     The z consumed by the transition into label u is always
     stream.derive(u, TRANSITION); an operator without noise consumes none
     (`stream` may then be None)."""
-    start = _now_ms(clock)
+    clock = clock or WallClock()
+    start = clock.elapsed_ms
     x = np.asarray(x, dtype=float)
     traj = Trajectory(states=[(op.labels[0], x)])
     for i in range(op.steps):
         v = evaluate(op.denoiser, op.levels, x, op.level(i), clock)
         traj.eval_count += 1
-        x = op.skip(i, 1, x, v, op.noise(stream, i + 1, Role.TRANSITION, x.shape))
+        z = op.noise(stream, i + 1, Role.TRANSITION, x.shape)
+        clock.wait()
+        x = op.skip(i, 1, x, v, z)
         traj.states.append((op.labels[i + 1], x))
-    traj.wall_ms = _now_ms(clock) - start
+    traj.wall_ms = clock.elapsed_ms - start
     return traj

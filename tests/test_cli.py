@@ -140,6 +140,10 @@ BAD_INPUTS = {
     "mixture-means": ("mixture.weights = 0.5, 0.5\nmixture.means = -2; abc\n"
                       "mixture.variances = 1, 1\n", ["sample"]),
     "probe-x": (BIMODAL, ["probe", "--x", "foo", "--t", "1"]),
+    "probe-t-out-of-range": (BIMODAL + "schedule.T = 10\n", ["probe", "--x", "0", "--t", "999"]),
+    "probe-x-wrong-length": (BIMODAL, ["probe", "--x", "0,0", "--t", "1"]),
+    "probe-x-nan": ("denoiser.kind = state-independent\ndim = 2\n",
+                    ["probe", "--x", "nan,0", "--t", "1"]),
     "bench-repeats": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--repeats", "0"]),
     "bench-devices": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--devices", "a"]),
     "recompute-anchor-typo": (BIMODAL + "sampler.mode = aggressive\n"

@@ -21,6 +21,7 @@ from skipdiff import (
     velocity_oracle,
     x0_posterior_mean,
 )
+from skipdiff import denoiser
 from skipdiff.errors import DimensionMismatch, NonPositiveSigma, TimestepOutOfRange
 
 
@@ -188,6 +189,20 @@ class TestEvaluateWrappers:
         elapsed = time.monotonic() - t0
         np.testing.assert_array_equal(got, evaluate(base, sched50, x, 7))
         assert elapsed >= 0.050
+
+    def test_latency_computes_inner_inside_eval_time(self, bimodal_1d, sched50, monkeypatch):
+        # the inner prediction takes 40 ms of host time, which a direct call
+        # spends inside its 60 ms of device time instead of after it
+        real = denoiser.eps_oracle
+
+        def slow(*args):
+            time.sleep(0.040)
+            return real(*args)
+        monkeypatch.setattr(denoiser, "eps_oracle", slow)
+        wrapped = Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=60.0))
+        t0 = time.monotonic()
+        evaluate(wrapped, sched50, np.array([0.4]), 7)
+        assert 0.060 <= time.monotonic() - t0 < 0.100
 
     def test_latency_virtual_clock(self, bimodal_1d, sched50):
         wrapped = Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=50.0))

@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from skipdiff import (
     run_parallel,
     sample,
 )
-from skipdiff import parallel
+from skipdiff import parallel, sequential
 from skipdiff.errors import InvalidPlanParams, WorkerFailure
 from skipdiff.rng import derive_noise
 
@@ -374,6 +375,39 @@ class TestSpeedupVirtualClock:
         traj = sample(Operator("ddim", den, s, rule=VarianceRule.deterministic()), x_T, stream,
                       clock=clock)
         assert traj.wall_ms == T * eval_ms
+
+
+class TestWallClockOverlap:
+    """On a wall clock an evaluation is dispatched, host work overlaps its
+    device time, and the skip that consumes its prediction waits it out."""
+
+    @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
+    def test_skip_starts_eval_ms_after_dispatch(self, bimodal_1d, monkeypatch, mode):
+        eval_ms = 20.0
+        module = sequential if mode == "sequential" else parallel
+        real_evaluate, real_skip = module.evaluate, Operator.skip
+        dispatched, gaps = [], []
+
+        def recording_evaluate(d, s, x, t, clock=None):
+            start = time.monotonic()
+            out = real_evaluate(d, s, x, t, clock)
+            dispatched.append((start, out))
+            return out
+
+        def recording_skip(op, i, k, x, v, z):
+            start = time.monotonic()
+            (sent,) = [t0 for t0, out in dispatched if np.shares_memory(v, out)]
+            gaps.append(start - sent)
+            return real_skip(op, i, k, x, v, z)
+        monkeypatch.setattr(module, "evaluate", recording_evaluate)
+        monkeypatch.setattr(Operator, "skip", recording_skip)
+        den = Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=eval_ms))
+        op = Operator("ddpm", den, default_schedule(6))  # stochastic: noise is derived ahead
+        if mode == "sequential":
+            sample(op, np.array([0.3]), RngStream(seed=3))
+        else:
+            run_parallel(op, np.array([0.3]), 2, Mode(mode), RngStream(seed=3))
+        assert len(gaps) >= 6 and min(gaps) >= eval_ms / 1000.0
 
 
 class TestStackedRounds:
