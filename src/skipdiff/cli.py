@@ -177,6 +177,8 @@ def _read_samples_csv(path: str) -> np.ndarray:
         raise ParseError(f"{path}: {exc}") from exc
     if data.ndim != 2 or data.size == 0:
         raise ParseError(f"{path}: no sample rows")
+    if not np.isfinite(data).all():
+        raise ParseError(f"{path}: non-finite sample value")
     return data
 
 
@@ -202,6 +204,8 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--bandwidth: must be > 0, got {args.bandwidth}")
     a = SampleSet(_read_samples_csv(args.file_a), label=args.file_a)
     b = SampleSet(_read_samples_csv(args.file_b), label=args.file_b)
+    if a.dim != b.dim:
+        raise ParseError(f"{args.file_b}: {b.dim} columns, but {args.file_a} has {a.dim}")
     if args.bandwidth is not None:
         bandwidth = args.bandwidth
     else:

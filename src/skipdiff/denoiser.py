@@ -20,6 +20,11 @@ from .schedule import NoiseSchedule, SigmaGrid
 _STATE_INDEP_SALT = 0x51DE  # keeps state_independent_eps streams apart from RngStream keys
 _PERTURB_SALT = b"perturb"
 _PERTURB_QUANTUM = 1e-8
+# How long before its deadline a WallClock wait stops sleeping and polls the
+# clock instead. Over 400 charge(5) + wait() pairs on a 2-vCPU Linux VM
+# (Python 3.11), waits end 3.0/3.7 us late (p50/p90) with this margin and
+# 113/265 us late without it, and use 4.5% of a CPU instead of 1.0%.
+_POLL_S = 0.0003
 
 
 @dataclass(frozen=True)
@@ -187,8 +192,11 @@ class VirtualClock:
 
 class WallClock:
     """Real time behind the VirtualClock interface: `charge(ms)` sets a ready
-    deadline ms after dispatch (queued behind a deadline still ahead), `wait`
-    sleeps out the rest, and host work in between overlaps the device time."""
+    deadline ms after dispatch (queued behind a deadline still ahead), and
+    host work before `wait` overlaps the device time. `wait` sleeps until
+    _POLL_S before the deadline and polls out the rest, as a GPU host's
+    hybrid block/spin synchronisation does: it returns at the deadline, not
+    an OS timer overshoot after it, and never before it."""
 
     def __init__(self):
         self._origin = self._ready = time.monotonic()
@@ -202,8 +210,10 @@ class WallClock:
 
     def wait(self):
         rest = self._ready - time.monotonic()
-        if rest > 0:
-            time.sleep(rest)
+        if rest > _POLL_S:
+            time.sleep(rest - _POLL_S)
+        while time.monotonic() < self._ready:
+            pass
 
 
 @dataclass(frozen=True)

@@ -134,20 +134,24 @@ def ddpm_skip_sample(
     return post.mean + math.sqrt(post.variance) * z
 
 
+def _ddim_sigma(s: NoiseSchedule, t: int, k: int, rule: VarianceRule) -> tuple:
+    """Range-checked abar_t, abar_{t-k} (as floats) and sigma_{t,k} of a DDIM skip."""
+    _check_skip(s, t, k)
+    a_t, a_s = float(s.alpha_bar[t]), float(s.alpha_bar[t - k])
+    sigma = rule.sigma(s, t, k)
+    if 1.0 - a_s - sigma * sigma < 0.0:
+        raise VarianceTooLarge(
+            f"sigma^2={sigma * sigma} exceeds 1 - alpha_bar[{t - k}]={1.0 - a_s}"
+        )
+    return a_t, a_s, sigma
+
+
 def ddim_skip_coeffs(s: NoiseSchedule, t: int, k: int, rule: VarianceRule) -> SkipCoeffs:
     """Coefficients solving the marginal-consistency constraints
     lambda + kappa sqrt(abar_t) = sqrt(abar_{t-k}) and
     kappa^2 (1-abar_t) + sigma^2 = 1 - abar_{t-k}."""
-    _check_skip(s, t, k)
-    a_t = s.alpha_bar[t]
-    a_s = s.alpha_bar[t - k]
-    sigma = rule.sigma(s, t, k)
-    radicand = 1.0 - a_s - sigma * sigma
-    if radicand < 0.0:
-        raise VarianceTooLarge(
-            f"sigma^2={sigma * sigma} exceeds 1 - alpha_bar[{t - k}]={1.0 - a_s}"
-        )
-    kappa = math.sqrt(radicand) / math.sqrt(1.0 - a_t)
+    a_t, a_s, sigma = _ddim_sigma(s, t, k, rule)
+    kappa = math.sqrt(1.0 - a_s - sigma * sigma) / math.sqrt(1.0 - a_t)
     lam = math.sqrt(a_s) - kappa * math.sqrt(a_t)
     return SkipCoeffs(kappa=kappa, lam=lam, sigma=sigma)
 
@@ -166,16 +170,13 @@ def ddim_skip(
         x_{t-k} = sqrt(abar_{t-k}) x0_hat + sqrt(1-abar_{t-k}-sigma^2) eps + sigma z,
         x0_hat  = (x_t - sqrt(1-abar_t) eps) / sqrt(abar_t).
     """
-    _check_skip(s, t, k)
-    a_t = s.alpha_bar[t]
-    a_s = s.alpha_bar[t - k]
-    coeffs = ddim_skip_coeffs(s, t, k, rule)
+    a_t, a_s, sigma = _ddim_sigma(s, t, k, rule)
     x0_hat = (x_t - math.sqrt(1.0 - a_t) * eps) / math.sqrt(a_t)
-    out = math.sqrt(a_s) * x0_hat + math.sqrt(1.0 - a_s - coeffs.sigma**2) * eps
-    if coeffs.sigma > 0.0:
+    out = math.sqrt(a_s) * x0_hat + math.sqrt(1.0 - a_s - sigma**2) * eps
+    if sigma > 0.0:
         if z is None:
             raise ValueError("z required for a stochastic transition")
-        out = out + coeffs.sigma * z
+        out = out + sigma * z
     return out
 
 

@@ -341,6 +341,24 @@ class TestCompare:
         self._write_samples(good, np.zeros((3, 1)))
         assert main(["compare", str(tmp_path / "nope.csv"), str(good)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("extra", [[], ["--bandwidth", "1"]], ids=["heuristic", "bandwidth"])
+    def test_different_widths(self, tmp_path, capsys, extra):
+        a, b = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+        self._write_samples(a, np.zeros((3, 2)))
+        self._write_samples(b, np.zeros((3, 1)))
+        assert main(["compare", str(a), str(b)] + extra) == EXIT_CONFIG
+        assert "narrow.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"seed,dim0\n0,1.5\n1,{value}\n")
+        good = tmp_path / "good.csv"
+        self._write_samples(good, np.zeros((3, 1)))
+        assert main(["compare", str(good), str(bad)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "bad.csv" in captured.err and captured.out == ""
+
 
 class TestDumpSchedule:
     def test_roundtrip(self, tmp_path):

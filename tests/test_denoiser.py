@@ -342,3 +342,65 @@ def test_stacked_out_of_range_row_raises(bimodal_1d, sched50):
         evaluate(AnalyticEps(bimodal_1d), grid, xs, np.array([3, 17, 2]))
     with pytest.raises(NonPositiveSigma):  # the grid's sigma = 0 node
         evaluate(AnalyticEps(bimodal_1d), grid, xs, np.array([3, 16, 2]))
+
+
+class FakeTime:
+    """Stands in for the time module inside skipdiff.denoiser: monotonic()
+    ticks 1 us per read; sleep(s) advances by s plus `overshoot` and records
+    (time of the call, s)."""
+
+    def __init__(self, overshoot):
+        self.now, self.overshoot, self.sleeps = 100.0, overshoot, []
+
+    def monotonic(self):
+        self.now += 1e-6
+        return self.now
+
+    def sleep(self, s):
+        self.sleeps.append((self.now, s))
+        self.now += s + self.overshoot
+
+
+class TestWallClockWait:
+    """A wall-clock wait sleeps until _POLL_S before its deadline, polls out
+    the rest and never returns before the deadline."""
+
+    @pytest.fixture(params=[1e-3, -1e-3], ids=["oversleep", "early-wake"])
+    def fake(self, request, monkeypatch):
+        fake = FakeTime(request.param)
+        monkeypatch.setattr(denoiser, "time", fake)
+        return fake
+
+    def _charge(self, clock, fake, ms, deadline=0.0):
+        """Charge ms; return the deadline the documented rule sets."""
+        clock.charge(ms)
+        return max(deadline, fake.now) + ms / 1000.0
+
+    @pytest.mark.parametrize("charges", [[5.0], [5.0, 5.0], [5.0, 0.1]],
+                             ids=["one", "queued", "queued-short"])
+    def test_sleeps_short_of_the_deadline_and_returns_at_it(self, fake, charges):
+        clock = denoiser.WallClock()
+        deadline = 0.0
+        for ms in charges:
+            deadline = self._charge(clock, fake, ms, deadline)
+        clock.wait()
+        assert len(fake.sleeps) == 1
+        at, s = fake.sleeps[0]
+        assert at + s <= deadline - denoiser._POLL_S + 1e-12
+        assert fake.now >= deadline  # the last clock reading, the one wait() returned on
+
+    @pytest.mark.parametrize("ms", [0.0, 0.1, 1000.0 * denoiser._POLL_S])
+    def test_no_sleep_within_the_margin(self, fake, ms):
+        clock = denoiser.WallClock()
+        deadline = self._charge(clock, fake, ms)
+        clock.wait()
+        assert fake.sleeps == []
+        assert fake.now >= deadline
+
+    def test_real_waits_never_return_early(self):
+        clock = denoiser.WallClock()
+        for _ in range(50):
+            before = time.monotonic()
+            clock.charge(5.0)
+            clock.wait()
+            assert time.monotonic() >= before + 0.005

@@ -12,11 +12,15 @@ from skipdiff import (
     VarianceRule,
     build_linear_beta,
     build_sigma_grid,
+    ddim_skip,
+    ddpm_skip_sample,
     default_schedule,
+    euler_skip,
+    predicted_x0,
     sample,
     standard_normal_mixture,
 )
-from skipdiff.errors import InvalidSubsequence, NonFiniteState
+from skipdiff.errors import InvalidSkip, InvalidSubsequence, NonFiniteState, VarianceTooLarge
 from skipdiff.rng import derive_noise
 
 
@@ -183,3 +187,76 @@ def test_non_finite_state_names_the_step(sched50):
     op = Operator("ddim", AnalyticEps(gm), sched50)
     with pytest.raises(NonFiniteState, match="from t=50 to t=49"):
         sample(op, np.array([0.5]), None)
+
+
+class TestOperatorSkip:
+    """Operator.skip must give, bit for bit, what the public transition
+    function gives, and what the skip formula written out term by term gives."""
+
+    GRID = build_sigma_grid(20, 0.02, 10.0, 3.0)
+    SUB = (20, 17, 13, 12, 8, 4, 3, 1, 0)
+    CASES = [
+        ("ddim", VarianceRule.deterministic()),
+        ("ddim", VarianceRule.ddpm_induced()),
+        ("ddim", VarianceRule.eta_scaled(0.5)),
+        ("ddpm", VarianceRule.deterministic()),
+        ("euler", VarianceRule.deterministic()),
+    ]
+
+    @staticmethod
+    def _reference(op, i, k, x, v, z):
+        t, u = op.labels[i], op.labels[i + k]
+        if op.family == "euler":
+            return euler_skip(op.levels, op.level(i), t - u, x, v)
+        if op.family == "ddim":
+            return ddim_skip(op.levels, t, t - u, x, v, op.rule, z)
+        return ddpm_skip_sample(op.levels, t, t - u, x, predicted_x0(op.levels, x, v, t), z)
+
+    @staticmethod
+    def _formula(op, i, k, x, v, z):
+        """The skip written out term by term, in the order the arithmetic runs."""
+        t, u = op.labels[i], op.labels[i + k]
+        if op.family == "euler":
+            return x + (op.levels.sigmas[op.level(i) + t - u] - op.levels.sigmas[op.level(i)]) * v
+        a_t, a_s = op.levels.alpha_bar[t], op.levels.alpha_bar[u]
+        x0 = (x - math.sqrt(1.0 - a_t) * v) / math.sqrt(a_t)
+        if op.family == "ddim":
+            sigma = op.rule.sigma(op.levels, t, t - u)
+            out = math.sqrt(a_s) * x0 + math.sqrt(1.0 - a_s - sigma**2) * v
+            return out + sigma * z if sigma > 0.0 else out
+        ratio = a_t / a_s
+        mean = (np.sqrt(ratio) * (1.0 - a_s) * x + np.sqrt(a_s) * (1.0 - ratio) * x0) / (1.0 - a_t)
+        variance = (1.0 - ratio) * (1.0 - a_s) / (1.0 - a_t)
+        return mean + math.sqrt(variance) * z if variance != 0.0 else mean
+
+    @pytest.mark.parametrize("labels", [None, SUB], ids=["T20", "subsequence"])
+    @pytest.mark.parametrize("family,rule", CASES,
+                             ids=["ddim-det", "ddim-ddpm", "ddim-eta0.5", "ddpm", "euler"])
+    def test_bitwise_equal_to_public_functions(self, family, rule, labels):
+        levels = self.GRID if family == "euler" else default_schedule(20)
+        op = Operator(family, AnalyticEps(standard_normal_mixture(2)), levels, labels, rule)
+        rng = np.random.default_rng(7)
+        for i in range(op.steps):
+            for k in range(1, op.steps - i + 1):
+                x, v, z = rng.standard_normal((3, 2))
+                got = op.skip(i, k, x, v, z).tobytes()
+                assert got == self._reference(op, i, k, x, v, z).tobytes(), (i, k)
+                assert got == self._formula(op, i, k, x, v, z).tobytes(), (i, k)
+
+    def test_invalid_skip_raises(self, std_normal_1d, sched50):
+        op = Operator("ddim", AnalyticEps(std_normal_1d), sched50)
+        x = np.zeros(1)
+        with pytest.raises(InvalidSkip):
+            op.skip(3, 0, x, x, None)
+        with pytest.raises(IndexError):
+            op.skip(48, 5, x, x, None)
+
+    def test_variance_too_large_raises(self, std_normal_1d):
+        class Huge(VarianceRule):
+            def sigma(self, s, t, k):
+                return 10.0
+
+        op = Operator("ddim", AnalyticEps(std_normal_1d), default_schedule(10),
+                      rule=Huge(VarianceRule.deterministic().kind))
+        with pytest.raises(VarianceTooLarge):
+            op.skip(0, 2, np.zeros(1), np.zeros(1), np.zeros(1))
