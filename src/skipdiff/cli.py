@@ -46,8 +46,7 @@ def _run_once(cfg: RunConfig, seed: int):
         x = op.levels.sigmas[0] * x  # the variance-exploding start
     if cfg.mode == "sequential":
         return sample(op, x, stream), []
-    return run_parallel(op, x, cfg.devices, Mode(cfg.mode), stream,
-                        recompute_anchor_eps=cfg.recompute_anchor_eps)
+    return run_parallel(op, x, cfg.devices, Mode(cfg.mode), stream)
 
 
 def cmd_sample(args) -> int:
@@ -177,6 +176,8 @@ def _read_samples_csv(path: str) -> np.ndarray:
         raise ParseError(f"{path}: {exc}") from exc
     if data.ndim != 2 or data.size == 0:
         raise ParseError(f"{path}: no sample rows")
+    if len(data) < 2:  # the unbiased MMD needs two rows per set
+        raise ParseError(f"{path}: needs at least 2 sample rows, got 1")
     if not np.isfinite(data).all():
         raise ParseError(f"{path}: non-finite sample value")
     return data
@@ -206,14 +207,14 @@ def cmd_compare(args) -> int:
     b = SampleSet(_read_samples_csv(args.file_b), label=args.file_b)
     if a.dim != b.dim:
         raise ParseError(f"{args.file_b}: {b.dim} columns, but {args.file_a} has {a.dim}")
-    if args.bandwidth is not None:
-        bandwidth = args.bandwidth
-    else:
+    bandwidth = args.bandwidth
+    if bandwidth is None:
         # median pairwise distance heuristic on a subsample
         pooled = np.vstack([a.samples[:500], b.samples[:500]])
-        d = np.sqrt(np.maximum(
-            ((pooled[:, None, :] - pooled[None, :, :]) ** 2).sum(-1), 1e-300))
+        d = np.sqrt(((pooled[:, None, :] - pooled[None, :, :]) ** 2).sum(-1))
         bandwidth = float(np.median(d[np.triu_indices(len(pooled), 1)]))
+        if bandwidth == 0:
+            raise ConfigError("the pooled samples' median pairwise distance is 0: give --bandwidth")
     result = {
         "sliced_w2": sliced_w2(a, b, projections=args.projections, seed=args.seed),
         "mmd": mmd_gaussian(a, b, bandwidth),

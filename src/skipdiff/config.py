@@ -72,8 +72,6 @@ KNOWN_KEYS = {
     "sampler.rule": ("deterministic", "deterministic | ddpm | eta"),
     "sampler.eta": ("0.5", "eta for rule=eta"),
     "sampler.subsequence": (None, "DDIM/DDPM timestep subsequence (comma list, ends at 0)"),
-    "sampler.recompute_anchor_eps": (
-        "false", "aggressive-mode ablation: re-evaluate eps at refined anchors"),
     "seed": ("0", "base RNG seed; run i uses seed+i"),
     "samples": ("1", "number of samples to generate"),
     "dim": (None, "state dimension (required for state-independent denoiser)"),
@@ -112,7 +110,6 @@ class RunConfig:
     mixture: GaussianMixture | None
     mode: str
     devices: int
-    recompute_anchor_eps: bool
     latency: LatencyModel | None
     seed: int
     samples: int
@@ -189,12 +186,6 @@ def _build(kv: dict, given: dict) -> RunConfig:
         raise ValueError(f"sampler.family: unknown family {family!r}")
     if mode not in ("sequential", "aggressive", "conservative"):
         raise ValueError(f"sampler.mode: unknown mode {mode!r}")
-    flag = kv["sampler.recompute_anchor_eps"].lower()
-    if flag not in ("true", "1", "yes", "false", "0", "no"):
-        raise ValueError(f"sampler.recompute_anchor_eps: expected true or false, got {flag!r}")
-    recompute = flag in ("true", "1", "yes")
-    _applies(given, "sampler.recompute_anchor_eps", mode == "aggressive" or not recompute,
-             "sampler.mode = aggressive")
 
     rules = {"deterministic": VarianceRule.deterministic(), "ddpm": VarianceRule.ddpm_induced(),
              "eta": VarianceRule.eta_scaled(_number(kv, "sampler.eta"))}
@@ -252,7 +243,7 @@ def _build(kv: dict, given: dict) -> RunConfig:
         op=Operator(family, denoiser, grid if family == "euler" else schedule, labels, rule),
         schedule=schedule, mixture=mixture, mode=mode,
         devices=_number(kv, "sampler.devices", int, 1),
-        recompute_anchor_eps=recompute, latency=latency,
+        latency=latency,
         seed=_number(kv, "seed", int, 0, _SEED_KEYS - samples),  # run i uses seed + i
         samples=samples, dim=dim,
         out_samples=kv.get("output.samples"),

@@ -124,14 +124,11 @@ def run_parallel(
     stream: RngStream | None,
     *,
     clock: VirtualClock | WallClock | None = None,
-    recompute_anchor_eps: bool = False,
 ) -> tuple[Trajectory, list[RoundReport]]:
     """Draft-and-refine run of any operator in either mode, one stacked
-    evaluation per round, timed on `clock` (default: a new WallClock).
-    `recompute_anchor_eps` (aggressive only) replaces each cached anchor
-    prediction with a stand-alone evaluation at the refined state (ablation;
-    adds one round and one eval per interior block). Tasks at levels with no
-    prediction (Euler's sigma = 0 node) are dropped: nothing consumes them."""
+    evaluation per round, timed on `clock` (default: a new WallClock). Tasks
+    at levels with no prediction (Euler's sigma = 0 node) are dropped:
+    nothing consumes them."""
     clock = clock or WallClock()
     start = clock.elapsed_ms
     plan = plan_blocks(op.steps, devices, mode)
@@ -168,7 +165,7 @@ def run_parallel(
         v = round_([(x, 0)], 0, 0)[0]
     for b, (r, k) in enumerate(plan.blocks):
         i = op.steps - r
-        if not aggressive or (recompute_anchor_eps and i > 0):
+        if not aggressive:
             v = round_([(x, i)], i, b)[i]
         if k == 0:  # degenerate final conservative block: one unit step, no round
             x = advance(i, 1, x, v)
@@ -190,8 +187,6 @@ def run_parallel(
     if traj.states[-1][0] != 0:
         raise PlanMismatch(f"trajectory ends at t={traj.states[-1][0]}, expected 0")
     expected = plan.total_evals
-    if aggressive and recompute_anchor_eps:
-        expected += len(plan.blocks) - 1  # one anchor re-evaluation per interior block
     if aggressive and not op.predicts(op.steps):
         expected -= 1  # the final draft, at sigma = 0, is never dispatched
     if traj.eval_count != expected:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -213,7 +214,7 @@ VALID_TOKENS = {  # one or two accepted values per key, so runs get past the fir
     "sampler.mode": ["sequential", "aggressive", "conservative"],
     "sampler.devices": ["2", "3"], "sampler.rule": ["deterministic", "ddpm", "eta"],
     "sampler.eta": ["0.5"], "sampler.subsequence": ["50, 25, 0", "3, 1, 0"],
-    "sampler.recompute_anchor_eps": ["true", "false"], "seed": ["7"], "samples": ["2"],
+    "seed": ["7"], "samples": ["2"],
     "dim": ["1", "2"], "output.samples": ["s.csv"], "output.report": ["r.json"],
     "output.rounds": ["r.csv"],
 }
@@ -358,6 +359,33 @@ class TestCompare:
         assert main(["compare", str(good), str(bad)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "bad.csv" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_one_row_csv(self, tmp_path, capsys, first):
+        one, three = tmp_path / "one.csv", tmp_path / "three.csv"
+        self._write_samples(one, np.zeros((1, 1)))
+        self._write_samples(three, np.arange(3.0)[:, None])
+        files = [one, three] if first else [three, one]
+        assert main(["compare", *map(str, files)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "one.csv" in captured.err and captured.out == ""
+
+    def test_identical_rows_need_a_bandwidth(self, tmp_path, capsys):
+        # every pooled distance is 0, so the median heuristic has no scale
+        a = tmp_path / "a.csv"
+        self._write_samples(a, np.ones((3, 2)))
+        assert main(["compare", str(a), str(a)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--bandwidth" in captured.err and captured.out == ""
+        assert main(["compare", str(a), str(a), "--bandwidth", "1"]) == EXIT_OK
+
+
+def test_readme_names_every_config_key():
+    # a removed key must not linger in the docs, and a new key must be documented
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sections = "|".join({key.split(".")[0] for key in KNOWN_KEYS if "." in key})
+    named = set(re.findall(rf"(?<![\w.])(?:{sections})\.\w+", readme))
+    assert named == {key for key in KNOWN_KEYS if "." in key}
 
 
 class TestDumpSchedule:

@@ -106,24 +106,10 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("text", [
         "sampler.family = euler\nsampler.subsequence = 50, 25, 0",
-        "sampler.recompute_anchor_eps = true",
-        "sampler.mode = conservative\nsampler.recompute_anchor_eps = true",
     ])
     def test_rejects_keys_the_run_would_ignore(self, text):
         with pytest.raises(ConfigError):
             load_config(text)
-
-    def test_recompute_anchor_eps_in_aggressive_mode(self):
-        cfg = load_config("sampler.mode = aggressive\nsampler.recompute_anchor_eps = true")
-        assert cfg.recompute_anchor_eps
-        # the default is always present, so only a true value outside aggressive mode fails
-        assert not load_config("sampler.mode = conservative").recompute_anchor_eps
-
-    @pytest.mark.parametrize("flag, value", [("TRUE", True), ("Yes", True), ("1", True),
-                                             ("False", False), ("no", False), ("0", False)])
-    def test_recompute_anchor_eps_spellings(self, flag, value):
-        cfg = load_config(f"sampler.mode = aggressive\nsampler.recompute_anchor_eps = {flag}")
-        assert cfg.recompute_anchor_eps is value
 
     def test_euler_needs_mixture(self):
         with pytest.raises(ConfigError, match="euler"):
