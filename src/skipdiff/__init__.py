@@ -26,7 +26,6 @@ from .metrics import (
     mmd_gaussian,
     mmd_permutation_threshold,
     sliced_w2,
-    trajectory_max_dev,
 )
 from .parallel import (
     BlockPlan,
@@ -39,9 +38,7 @@ from .parallel import (
 from .rng import RngStream, Role, derive_noise
 from .schedule import (
     NoiseSchedule,
-    ScheduleKind,
     SigmaGrid,
-    alpha_at,
     build_cosine,
     build_linear_beta,
     build_sigma_grid,

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, load_config_file
-from .denoiser import evaluate
+from .denoiser import evaluate, latency_of
 from .errors import ConfigError, ParseError, SkipDiffError, SuiteNotFound
 from .metrics import SampleSet, mmd_gaussian, sliced_w2
 from .parallel import Mode, run_parallel
@@ -35,6 +35,7 @@ EXIT_CONFIG = 2
 EXIT_VERIFY_FAIL = 3
 EXIT_RUNTIME = 4
 EXIT_SUITE_NOT_FOUND = 5
+_MIN_2BW2 = 1 / sys.float_info.max  # 2 * bandwidth**2 must exceed this for a finite reciprocal
 
 
 def _run_once(cfg: RunConfig, seed: int):
@@ -104,7 +105,7 @@ def cmd_sample(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_config_file(args.config)
-    if cfg.latency is None:
+    if latency_of(cfg.op.denoiser) is None:
         raise ConfigError("bench requires a latency model (latency.eval_ms)")
     devices_list = _parse_list(args.devices, int, "--devices")
     if min(devices_list) < 1 or args.repeats < 1:
@@ -201,26 +202,32 @@ def _is_float(s: str) -> bool:
 def cmd_compare(args) -> int:
     if args.projections < 1:
         raise ConfigError(f"--projections: must be >= 1, got {args.projections}")
-    if args.bandwidth is not None and not args.bandwidth > 0:
-        raise ConfigError(f"--bandwidth: must be > 0, got {args.bandwidth}")
+    bw = args.bandwidth  # mmd_gaussian's kernel scale is 1 / (2 * bandwidth**2)
+    if bw is not None and not (bw > 0 and _MIN_2BW2 < 2 * bw * bw < math.inf):
+        raise ConfigError(f"--bandwidth: need bw > 0 with 1 / (2 * bw**2) finite and > 0, got {bw}")
     a = SampleSet(_read_samples_csv(args.file_a), label=args.file_a)
     b = SampleSet(_read_samples_csv(args.file_b), label=args.file_b)
     if a.dim != b.dim:
         raise ParseError(f"{args.file_b}: {b.dim} columns, but {args.file_a} has {a.dim}")
-    bandwidth = args.bandwidth
-    if bandwidth is None:
-        # median pairwise distance heuristic on a subsample
-        pooled = np.vstack([a.samples[:500], b.samples[:500]])
-        d = np.sqrt(((pooled[:, None, :] - pooled[None, :, :]) ** 2).sum(-1))
-        bandwidth = float(np.median(d[np.triu_indices(len(pooled), 1)]))
-        if bandwidth == 0:
-            raise ConfigError("the pooled samples' median pairwise distance is 0: give --bandwidth")
+    files = f"{args.file_a}, {args.file_b}"
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        if bw is None:  # median pairwise distance heuristic on a subsample
+            pooled = np.vstack([a.samples[:500], b.samples[:500]])
+            d = np.sqrt(((pooled[:, None, :] - pooled[None, :, :]) ** 2).sum(-1))
+            bw = float(np.median(d[np.triu_indices(len(pooled), 1)]))
+            if not _MIN_2BW2 < 2 * bw * bw < math.inf:
+                raise ConfigError(f"{files}: the pooled samples' median pairwise distance is "
+                                  f"{bw}, which gives no kernel scale: give --bandwidth")
+        sw2, mmd = sliced_w2(a, b, args.projections, args.seed), mmd_gaussian(a, b, bw)
+    if not (math.isfinite(sw2) and math.isfinite(mmd)):
+        raise ParseError(f"{files}: values too large for finite distances "
+                         f"(sliced_w2 {sw2}, mmd {mmd})")
     result = {
-        "sliced_w2": sliced_w2(a, b, projections=args.projections, seed=args.seed),
-        "mmd": mmd_gaussian(a, b, bandwidth),
+        "sliced_w2": sw2,
+        "mmd": mmd,
         "n_a": len(a),
         "n_b": len(b),
-        "params": {"projections": args.projections, "seed": args.seed, "bandwidth": bandwidth},
+        "params": {"projections": args.projections, "seed": args.seed, "bandwidth": bw},
     }
     print(json.dumps(result, indent=2))
     return EXIT_OK

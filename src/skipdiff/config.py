@@ -107,10 +107,8 @@ class RunConfig:
     raw: dict = field(repr=False)
     op: Operator
     schedule: NoiseSchedule  # read by dump-schedule and probe in every family
-    mixture: GaussianMixture | None
     mode: str
     devices: int
-    latency: LatencyModel | None
     seed: int
     samples: int
     dim: int
@@ -170,6 +168,9 @@ def load_config(text: str) -> RunConfig:
 
 def _build(kv: dict, given: dict) -> RunConfig:
     """Raises ValueError on a bad value; load_config reports it as a ConfigError."""
+    for key in ("schedule.beta_start", "schedule.beta_end"):
+        _applies(given, key, kv["schedule.kind"] != "cosine", "schedule.kind = linear")
+    _applies(given, "schedule.offset", kv["schedule.kind"] != "linear", "schedule.kind = cosine")
     if kv["schedule.kind"] == "linear":
         schedule = build_linear_beta(_number(kv, "schedule.T", int, 1),
                                      _number(kv, "schedule.beta_start"),
@@ -193,6 +194,9 @@ def _build(kv: dict, given: dict) -> RunConfig:
     if rule is None:
         raise ValueError(f"sampler.rule: unknown rule {kv['sampler.rule']!r}")
     _applies(given, "sampler.eta", kv["sampler.rule"] == "eta", "sampler.rule = eta")
+    only = {"ddpm": "ddpm", "euler": "deterministic"}.get(family, kv["sampler.rule"])
+    if "sampler.rule" in given and kv["sampler.rule"] != only:
+        raise ValueError(f"sampler.rule: the {family} family samples with rule {only} only")
 
     _applies(given, "sampler.subsequence", family != "euler", "the ddim and ddpm families")
     labels = None
@@ -229,11 +233,10 @@ def _build(kv: dict, given: dict) -> RunConfig:
         denoiser = Perturbed(denoiser, scale)
     _applies(given, "latency.overhead_ms", "latency.eval_ms" in given,
              "runs that set latency.eval_ms")
-    latency = None
     if "latency.eval_ms" in kv:
-        latency = LatencyModel(*[_number(kv, key, lo=0.0, hi=_MAX_SLEEP_MS)
-                                 for key in ("latency.eval_ms", "latency.overhead_ms") if key in kv])
-        denoiser = Latency(denoiser, latency)
+        denoiser = Latency(denoiser, LatencyModel(*[
+            _number(kv, key, lo=0.0, hi=_MAX_SLEEP_MS)
+            for key in ("latency.eval_ms", "latency.overhead_ms") if key in kv]))
 
     if family == "euler" and mixture is None:
         raise ValueError("sampler.family=euler requires a mixture denoiser")
@@ -241,9 +244,7 @@ def _build(kv: dict, given: dict) -> RunConfig:
     return RunConfig(
         raw=kv,
         op=Operator(family, denoiser, grid if family == "euler" else schedule, labels, rule),
-        schedule=schedule, mixture=mixture, mode=mode,
-        devices=_number(kv, "sampler.devices", int, 1),
-        latency=latency,
+        schedule=schedule, mode=mode, devices=_number(kv, "sampler.devices", int, 1),
         seed=_number(kv, "seed", int, 0, _SEED_KEYS - samples),  # run i uses seed + i
         samples=samples, dim=dim,
         out_samples=kv.get("output.samples"),

@@ -53,10 +53,6 @@ class WorkerFailure(SkipDiffError):
     """A parallel round's evaluation raised; chained to the underlying error."""
 
 
-class TimestepMismatch(SkipDiffError):
-    """Trajectories compared over different timestep lists."""
-
-
 class EmptySet(SkipDiffError):
     """Metric called on an empty sample set."""
 

@@ -1,4 +1,4 @@
-"""Desk-scale distribution distances and trajectory deviation measures.
+"""Desk-scale distribution distances.
 
 These stand in for perceptual metrics: at this scale the quality question
 reduces to "does the parallel sampler's output distribution match the
@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySet, InsufficientSamples, TimestepMismatch
-from .sequential import Trajectory
+from .errors import DimensionMismatch, EmptySet, InsufficientSamples
 
 
 @dataclass(frozen=True)
@@ -107,13 +106,3 @@ def mmd_permutation_threshold(
         )
     return float(np.quantile(vals, quantile))
 
-
-def trajectory_max_dev(a: Trajectory, b: Trajectory) -> float:
-    """Max over shared timesteps of the Euclidean distance between states."""
-    ta, tb = a.timesteps(), b.timesteps()
-    if ta != tb:
-        raise TimestepMismatch(f"timestep lists differ: {ta[:5]}... vs {tb[:5]}...")
-    return max(
-        float(np.linalg.norm(np.asarray(xa) - np.asarray(xb)))
-        for (_, xa), (_, xb) in zip(a.states, b.states)
-    )

@@ -45,7 +45,6 @@ class BlockPlan:
     k steps; conservative blocks consume k+1 (a degenerate final k=0 block
     consumes 1 when T = 1 mod (devices+1) and no donor block exists)."""
 
-    mode: Mode
     blocks: tuple
     total_rounds: int
     total_evals: int
@@ -68,7 +67,7 @@ def plan_blocks(T: int, devices: int, mode: Mode) -> BlockPlan:
             k = min(devices, t)
             blocks.append((t, k))
             t -= k
-        return BlockPlan(mode, tuple(blocks), total_rounds=1 + len(blocks), total_evals=T + 1)
+        return BlockPlan(tuple(blocks), total_rounds=1 + len(blocks), total_evals=T + 1)
     while t > 0:
         consume = min(devices + 1, t)
         # never leave a remainder of exactly 1 if this block can absorb it
@@ -77,7 +76,7 @@ def plan_blocks(T: int, devices: int, mode: Mode) -> BlockPlan:
         blocks.append((t, consume - 1))
         t -= consume
     rounds = sum(2 if k >= 1 else 1 for _, k in blocks)
-    return BlockPlan(mode, tuple(blocks), total_rounds=rounds, total_evals=T)
+    return BlockPlan(tuple(blocks), total_rounds=rounds, total_evals=T)
 
 
 def execute_round(

@@ -10,22 +10,16 @@ with ``alpha_bar[0] = 1`` exactly (t=0 is clean data). Per-step rates live in
 """
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidScheduleParams, TimestepOutOfRange
+from .errors import InvalidScheduleParams
 
 # betas for the cosine schedule are clamped here so alpha_bar never collapses
 # to 0, which would break 1/(1 - alpha_bar) terms downstream.
 MAX_BETA = 0.999
 
 DEFAULT_T = 50
-
-
-class ScheduleKind(Enum):
-    LINEAR_BETA = "linear"
-    COSINE = "cosine"
 
 
 @dataclass(frozen=True)
@@ -39,7 +33,6 @@ class NoiseSchedule:
     T: int
     alpha_bar: np.ndarray
     betas: np.ndarray
-    kind: ScheduleKind
 
     def __post_init__(self):
         self.alpha_bar.setflags(write=False)
@@ -68,7 +61,7 @@ def build_linear_beta(T: int, beta_start: float, beta_end: float) -> NoiseSchedu
         )
     betas = np.concatenate([[0.0], np.linspace(beta_start, beta_end, T)])
     alpha_bar = np.cumprod(1.0 - betas)
-    return NoiseSchedule(T=T, alpha_bar=alpha_bar, betas=betas, kind=ScheduleKind.LINEAR_BETA)
+    return NoiseSchedule(T=T, alpha_bar=alpha_bar, betas=betas)
 
 
 def build_cosine(T: int, offset: float = 0.008) -> NoiseSchedule:
@@ -89,7 +82,7 @@ def build_cosine(T: int, offset: float = 0.008) -> NoiseSchedule:
     betas = np.zeros(T + 1)
     betas[1:] = np.clip(1.0 - raw[1:] / raw[:-1], 0.0, MAX_BETA)
     alpha_bar = np.cumprod(1.0 - betas)
-    return NoiseSchedule(T=T, alpha_bar=alpha_bar, betas=betas, kind=ScheduleKind.COSINE)
+    return NoiseSchedule(T=T, alpha_bar=alpha_bar, betas=betas)
 
 
 def build_sigma_grid(N: int, sigma_min: float, sigma_max: float, rho: float = 7.0) -> SigmaGrid:
@@ -109,13 +102,6 @@ def build_sigma_grid(N: int, sigma_min: float, sigma_max: float, rho: float = 7.
     ) ** rho
     sigmas = np.concatenate([interior, [0.0]])
     return SigmaGrid(sigmas=sigmas)
-
-
-def alpha_at(s: NoiseSchedule, t: int) -> float:
-    """alpha_bar[t], with bounds checking."""
-    if not 0 <= t <= s.T:
-        raise TimestepOutOfRange(f"t={t} outside 0..{s.T}")
-    return float(s.alpha_bar[t])
 
 
 def default_schedule(T: int = DEFAULT_T) -> NoiseSchedule:

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .denoiser import StateIndependent, eps_oracle, standard_normal_mixture
+from .denoiser import StateIndependent, eps_oracle
 from .errors import SuiteNotFound
 from .parallel import Mode, plan_blocks, run_parallel
 from .rng import RngStream, Role, derive_noise
@@ -52,14 +52,15 @@ def suite_equivalence():
     return results
 
 
-def suite_marginals(draws: int = 100_000, cases: int = 20, seed: int = 0):
+def suite_marginals():
     """Monte-Carlo moments after a skip transition match the forward marginal
     closed forms within 4 standard errors (1-D, fixed x0)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     s = default_schedule(50)
     results = []
     x0 = np.ones(1) * 0.7
-    for case in range(cases):
+    draws = 100_000
+    for case in range(20):
         t = int(rng.integers(2, s.T + 1))
         k = int(rng.integers(1, t))  # keep t-k >= 1 so the target variance is nonzero
         a_t, a_s = s.alpha_bar[t], s.alpha_bar[t - k]
@@ -88,14 +89,14 @@ def suite_marginals(draws: int = 100_000, cases: int = 20, seed: int = 0):
     return results
 
 
-def suite_coeffs(tuples: int = 1000, seed: int = 1):
+def suite_coeffs():
     """Appendix-style constraints on the DDIM skip coefficients:
     lambda + kappa sqrt(abar_t) = sqrt(abar_{t-k}) and
     kappa^2 (1-abar_t) + sigma^2 = 1 - abar_{t-k}, to 1e-10."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     schedules = [default_schedule(50), build_cosine(40), build_linear_beta(30, 0.01, 0.3)]
     worst = 0.0
-    for _ in range(tuples):
+    for _ in range(1000):
         s = schedules[rng.integers(len(schedules))]
         t = int(rng.integers(1, s.T + 1))
         k = int(rng.integers(1, t + 1))
@@ -135,7 +136,7 @@ def suite_accounting():
     return results
 
 
-def suite_rng(draws: int = 100_000, seed: int = 2):
+def suite_rng():
     """Counter-based stream: determinism, key separation, and normality."""
     stream = RngStream(seed=42)
     a = derive_noise(stream, 5, Role.TRANSITION, 16)
@@ -143,8 +144,7 @@ def suite_rng(draws: int = 100_000, seed: int = 2):
         _result("rng[determinism]", np.array_equal(a, derive_noise(stream, 5, Role.TRANSITION, 16))),
         _result("rng[role separation]", not np.array_equal(a, derive_noise(stream, 5, Role.DRAFT, 16))),
     ]
-    keys = 20
-    per = draws // keys
+    keys, per = 20, 5_000  # 100 000 draws
     chunks = [derive_noise(stream, t, Role.TRANSITION, per) for t in range(keys)]
     flat = np.concatenate(chunks)
     se_mean = 1 / math.sqrt(flat.size)
@@ -161,16 +161,16 @@ def suite_rng(draws: int = 100_000, seed: int = 2):
     return results
 
 
-def suite_oracles(probes: int = 100, seed: int = 4):
-    """eps_oracle agrees with a finite-difference score on random probes."""
-    rng = np.random.default_rng(seed)
+def suite_oracles():
+    """eps_oracle agrees with a finite-difference score on 100 random probes."""
+    rng = np.random.default_rng(4)
     s = default_schedule(50)
     from .denoiser import GaussianMixture
 
     gm = GaussianMixture(weights=[0.5, 0.5], means=[[-2.0], [2.0]], variances=[1.0, 0.5])
     worst = 0.0
     h = 1e-6
-    for _ in range(probes):
+    for _ in range(100):
         t = int(rng.integers(1, s.T + 1))
         x = rng.normal(0, 2, 1)
         abar = s.alpha_bar[t]

@@ -136,6 +136,20 @@ class TestSample:
             totals = json.loads((tmp_path / "r.json").read_text())["totals"]
             assert (totals["evals"], totals["rounds"]) == (evals, rounds)
 
+    @pytest.mark.parametrize("family, rule", [("ddpm", "ddpm"), ("euler", "deterministic")])
+    @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
+    def test_family_rule_changes_no_sample(self, tmp_path, family, rule, mode):
+        # the one rule each of these families accepts is the one it samples with anyway
+        outputs = []
+        for name, extra in (("plain", ""), ("ruled", f"sampler.rule = {rule}\n")):
+            cfg = write_cfg(tmp_path, BIMODAL + extra + (
+                f"sampler.family = {family}\nsampler.mode = {mode}\nsampler.devices = 3\n"
+                f"schedule.T = 20\ngrid.N = 20\nsamples = 2\n"
+                f"output.samples = {tmp_path}/{name}.csv\n"), name=f"{name}.cfg")
+            assert main(["sample", "--config", cfg]) == EXIT_OK
+            outputs.append((tmp_path / f"{name}.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 BAD_INPUTS = {
     "mixture-means": ("mixture.weights = 0.5, 0.5\nmixture.means = -2; abc\n"
@@ -185,6 +199,18 @@ BAD_INPUTS = {
     "bench-out-path": (BIMODAL + "latency.eval_ms = 1\nschedule.T = 4\n",
                        ["bench", "--devices", "2", "--repeats", "1", "--out", "/dev/null/b.csv"]),
     "dump-schedule-out-path": (BIMODAL, ["dump-schedule", "--out", "/dev/null/d.csv"]),
+    # keys the chosen schedule or family would ignore
+    "beta-start-cosine": (BIMODAL + "schedule.kind = cosine\nschedule.beta_start = 0.01\n",
+                          ["sample"]),
+    "beta-end-cosine": (BIMODAL + "schedule.kind = cosine\nschedule.beta_end = 0.3\n", ["sample"]),
+    "offset-linear": (BIMODAL + "schedule.offset = 0.01\n", ["sample"]),
+    "ddpm-rule-deterministic": (BIMODAL + "sampler.family = ddpm\nsampler.rule = deterministic\n",
+                                ["sample"]),
+    "ddpm-rule-eta": (BIMODAL + "sampler.family = ddpm\nsampler.rule = eta\nsampler.eta = 0.3\n",
+                      ["sample"]),
+    "euler-rule-ddpm": (BIMODAL + "sampler.family = euler\nsampler.rule = ddpm\n", ["sample"]),
+    "euler-rule-eta": (BIMODAL + "sampler.family = euler\nsampler.rule = eta\nsampler.eta = 0\n",
+                       ["sample"]),
 }
 
 
@@ -369,6 +395,27 @@ class TestCompare:
         assert main(["compare", *map(str, files)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "one.csv" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("bandwidth", ["1e-200", "1e-155", "1e200", "inf"])
+    def test_bandwidth_without_kernel_scale(self, tmp_path, capsys, bandwidth):
+        # 2 * bandwidth**2 underflows to 0, its reciprocal overflows, or it is infinite
+        a = tmp_path / "a.csv"
+        self._write_samples(a, np.arange(3.0)[:, None])
+        assert main(["compare", str(a), str(a), "--bandwidth", bandwidth]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --bandwidth") and captured.out == ""
+
+    @pytest.mark.parametrize("extra", [[], ["--bandwidth", "1"]], ids=["heuristic", "bandwidth"])
+    def test_overflowing_distances(self, tmp_path, capsys, extra):
+        # finite values whose squares overflow leave no finite distance to print
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self._write_samples(a, np.array([[0.0], [1e160], [-1e160]]))
+        self._write_samples(b, np.arange(3.0)[:, None])
+        for files in ([a, a], [a, b]):
+            assert main(["compare", *map(str, files)] + extra) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert all(str(f) in captured.err for f in files)
 
     def test_identical_rows_need_a_bandwidth(self, tmp_path, capsys):
         # every pooled distance is 0, so the median heuristic has no scale

@@ -48,9 +48,9 @@ class TestLoadConfig:
             "mixture.means = -2 0; 2 0\n"
             "mixture.variances = 1, 0.5\n"
         )
-        np.testing.assert_allclose(cfg.mixture.weights, [0.25, 0.75])
-        np.testing.assert_allclose(cfg.mixture.means, [[-2, 0], [2, 0]])
-        np.testing.assert_allclose(cfg.mixture.variances, [1, 0.5])
+        np.testing.assert_allclose(cfg.op.denoiser.gm.weights, [0.25, 0.75])
+        np.testing.assert_allclose(cfg.op.denoiser.gm.means, [[-2, 0], [2, 0]])
+        np.testing.assert_allclose(cfg.op.denoiser.gm.variances, [1, 0.5])
         assert cfg.dim == 2
 
     def test_state_independent_requires_dim(self):
@@ -70,8 +70,8 @@ class TestLoadConfig:
         )
         assert isinstance(cfg.op.denoiser, Latency)
         assert isinstance(cfg.op.denoiser.inner, Perturbed)
-        assert cfg.latency.eval_time_ms == 5.0
-        assert cfg.latency.dispatch_overhead_ms == 1.0
+        assert cfg.op.denoiser.model.eval_time_ms == 5.0
+        assert cfg.op.denoiser.model.dispatch_overhead_ms == 1.0
 
     def test_rules(self):
         assert load_config("sampler.rule = ddpm").op.rule == VarianceRule.ddpm_induced()

@@ -5,17 +5,14 @@ import pytest
 
 from skipdiff import (
     SampleSet,
-    Trajectory,
     mmd_gaussian,
     mmd_permutation_threshold,
     sliced_w2,
-    trajectory_max_dev,
 )
 from skipdiff.errors import (
     DimensionMismatch,
     EmptySet,
     InsufficientSamples,
-    TimestepMismatch,
 )
 
 
@@ -138,22 +135,3 @@ class TestMmd:
             mmd_gaussian(a, a, 0.0)
         with pytest.raises(InsufficientSamples):
             mmd_gaussian(SampleSet([[0.0, 0.0]]), a, 1.0)
-
-
-class TestTrajectoryMaxDev:
-    def test_hand_case(self):
-        a = Trajectory(states=[(2, np.array([0.0, 0.0])), (1, np.array([1.0, 0.0])),
-                               (0, np.array([0.0, 0.0]))])
-        b = Trajectory(states=[(2, np.array([0.0, 0.0])), (1, np.array([1.0, 0.0])),
-                               (0, np.array([3.0, 4.0]))])
-        assert trajectory_max_dev(a, b) == pytest.approx(5.0, rel=1e-15)
-
-    def test_identical(self):
-        a = Trajectory(states=[(1, np.array([0.3])), (0, np.array([0.1]))])
-        assert trajectory_max_dev(a, a) == 0.0
-
-    def test_timestep_mismatch(self):
-        a = Trajectory(states=[(1, np.array([0.3])), (0, np.array([0.1]))])
-        b = Trajectory(states=[(2, np.array([0.3])), (0, np.array([0.1]))])
-        with pytest.raises(TimestepMismatch):
-            trajectory_max_dev(a, b)

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipdiff import (
-    alpha_at,
     build_cosine,
     build_linear_beta,
     build_sigma_grid,
 )
-from skipdiff.errors import InvalidScheduleParams, TimestepOutOfRange
+from skipdiff.errors import InvalidScheduleParams
 
 # independent high-precision cumulative-product oracle (mpmath, 50 digits),
 # computed before the build and frozen here
@@ -85,20 +84,6 @@ class TestSigmaGrid:
             build_sigma_grid(4, 10, 0.01, 7)
         with pytest.raises(InvalidScheduleParams):
             build_sigma_grid(4, 0.01, 10, 0.5)
-
-
-class TestAlphaAt:
-    def test_convention_t0(self):
-        s = build_linear_beta(4, 0.5, 0.5)
-        assert alpha_at(s, 0) == 1.0
-        assert alpha_at(s, 2) == 0.25
-
-    def test_out_of_range(self):
-        s = build_linear_beta(4, 0.5, 0.5)
-        with pytest.raises(TimestepOutOfRange):
-            alpha_at(s, 5)
-        with pytest.raises(TimestepOutOfRange):
-            alpha_at(s, -1)
 
 
 @settings(max_examples=50, deadline=None)
