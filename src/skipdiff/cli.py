@@ -4,18 +4,23 @@ Commands: sample, bench, verify, compare, dump-schedule, probe.
 
 Exit codes: 0 success; 2 configuration, input parse or unwritable output
 path error; 3 verification failure; 4 runtime/pipeline error (including a
-non-finite sampler state or one too large to allocate); 5 unknown
-verification suite.
+non-finite sampler state or prediction, or a state too large to allocate);
+5 unknown verification suite. A failed command removes the regular files it
+wrote, never a symlink, device or pipe.
 
 `sample` runs each parallel round as one stacked evaluation on one thread.
 """
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
+import stat
 import statistics
 import sys
 
@@ -23,7 +28,7 @@ import numpy as np
 
 from .config import RunConfig, load_config_file
 from .denoiser import evaluate, latency_of
-from .errors import ConfigError, ParseError, SkipDiffError, SuiteNotFound
+from .errors import ConfigError, NonFiniteState, ParseError, SkipDiffError, SuiteNotFound
 from .metrics import SampleSet, mmd_gaussian, sliced_w2
 from .parallel import Mode, run_parallel
 from .rng import RngStream, Role, derive_noise
@@ -50,57 +55,56 @@ def _run_once(cfg: RunConfig, seed: int):
     return run_parallel(op, x, cfg.devices, Mode(cfg.mode), stream)
 
 
-def cmd_sample(args) -> int:
-    cfg = load_config_file(args.config)
+def _write_outputs(*outputs) -> None:
+    """Write each (path, content) in turn, to stdout for a None path: content
+    is text or an iterable of CSV rows. On any failure, remove the files
+    written so far that are regular ones (never a symlink, device or pipe),
+    then re-raise."""
     written = []
     try:
-        finals, all_reports = [], []
-        totals = {"evals": 0, "rounds": 0, "wall_ms": 0.0}
-        for i in range(cfg.samples):
-            traj, reports = _run_once(cfg, cfg.seed + i)
-            finals.append((cfg.seed + i, traj.final))
-            all_reports.extend(reports)
-            totals["evals"] += traj.eval_count
-            totals["rounds"] += len(reports)
-            totals["wall_ms"] += traj.wall_ms
-
-        if cfg.out_samples:
-            with open(cfg.out_samples, "w", newline="") as fh:
-                written.append(cfg.out_samples)
-                w = csv.writer(fh)
-                w.writerow(["seed"] + [f"dim{j}" for j in range(cfg.dim)])
-                for seed, x in finals:
-                    w.writerow([seed] + [repr(float(v)) for v in np.atleast_1d(x)])
-        if cfg.out_rounds:
-            with open(cfg.out_rounds, "w", newline="") as fh:
-                written.append(cfg.out_rounds)
-                w = csv.writer(fh)
-                w.writerow(["round", "anchor_t", "parallel_evals", "round_wall_ms"])
-                for n, r in enumerate(all_reports):
-                    w.writerow([n, r.anchor_t, r.parallel_evals, f"{r.round_wall_ms:.3f}"])
-        report = {
-            "config": cfg.raw,
-            "totals": totals,
-            "rounds": [
-                {"anchor_t": r.anchor_t, "parallel_evals": r.parallel_evals,
-                 "round_wall_ms": r.round_wall_ms}
-                for r in all_reports
-            ],
-            "artifacts": {"samples": cfg.out_samples, "rounds": cfg.out_rounds},
-        }
-        if cfg.out_report:
-            with open(cfg.out_report, "w") as fh:
-                written.append(cfg.out_report)
-                json.dump(report, fh, indent=2)
-        print(json.dumps({"totals": totals, "samples": cfg.samples}, indent=2))
-        return EXIT_OK
-    except Exception:
-        for path in written:  # no partial outputs on failure
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        for path, content in outputs:
+            with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+                written.append(path)
+                if isinstance(content, str):
+                    fh.write(content)
+                else:
+                    csv.writer(fh).writerows(content)
+    except BaseException:
+        for path in filter(None, written):
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
         raise
+
+
+def cmd_sample(args) -> int:
+    cfg = load_config_file(args.config)
+    finals, all_reports = [], []
+    totals = {"evals": 0, "rounds": 0, "wall_ms": 0.0}
+    for i in range(cfg.samples):
+        traj, reports = _run_once(cfg, cfg.seed + i)
+        finals.append((cfg.seed + i, traj.final))
+        all_reports.extend(reports)
+        totals["evals"] += traj.eval_count
+        totals["rounds"] += len(reports)
+        totals["wall_ms"] += traj.wall_ms
+
+    samples_csv = itertools.chain([["seed"] + [f"dim{j}" for j in range(cfg.dim)]], (
+        [seed] + [repr(float(v)) for v in np.atleast_1d(x)] for seed, x in finals))
+    rounds_csv = [["round", "anchor_t", "parallel_evals", "round_wall_ms"]] + [
+        [n, r.anchor_t, r.parallel_evals, f"{r.round_wall_ms:.3f}"]
+        for n, r in enumerate(all_reports)]
+    report = {
+        "config": cfg.raw,
+        "totals": totals,
+        "rounds": [dataclasses.asdict(r) for r in all_reports],
+        "artifacts": {"samples": cfg.out_samples, "rounds": cfg.out_rounds},
+    }
+    outputs = ((cfg.out_samples, samples_csv), (cfg.out_rounds, rounds_csv),
+               (cfg.out_report, json.dumps(report, indent=2)))
+    _write_outputs(*((path, content) for path, content in outputs if path))
+    print(json.dumps({"totals": totals, "samples": cfg.samples}, indent=2))
+    return EXIT_OK
 
 
 def cmd_bench(args) -> int:
@@ -116,7 +120,6 @@ def cmd_bench(args) -> int:
             raise ConfigError(f"unknown bench mode {m!r}")
 
     def median_wall(mode, devices):
-        import dataclasses
         run_cfg = dataclasses.replace(cfg, mode=mode, devices=devices)
         _run_once(run_cfg, cfg.seed)  # warm-up
         walls = [_run_once(run_cfg, cfg.seed)[0].wall_ms for _ in range(args.repeats)]
@@ -130,15 +133,9 @@ def cmd_bench(args) -> int:
             bound = seq_ms / devices if mode == "aggressive" else seq_ms * 2 / (devices + 1)
             rows.append((mode, devices, ms, seq_ms / ms, bound))
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        w = csv.writer(out)
-        w.writerow(["mode", "devices", "median_ms", "speedup", "theory_bound"])
-        for mode, devices, ms, speedup, bound in rows:
-            w.writerow([mode, devices, f"{ms:.3f}", f"{speedup:.4f}", f"{bound:.3f}"])
-    finally:
-        if args.out:
-            out.close()
+    _write_outputs((args.out, [["mode", "devices", "median_ms", "speedup", "theory_bound"]] + [
+        [mode, devices, f"{ms:.3f}", f"{speedup:.4f}", f"{bound:.3f}"]
+        for mode, devices, ms, speedup, bound in rows]))
     return EXIT_OK
 
 
@@ -150,8 +147,7 @@ def cmd_verify(args) -> int:
         status = "PASS" if entry["passed"] else "FAIL"
         print(f"{status} {entry['property']} {entry['detail']}".rstrip())
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(summary, fh, indent=2)
+        _write_outputs((args.json, json.dumps(summary, indent=2)))
     failed = sum(1 for e in summary if not e["passed"])
     print(f"{len(summary) - failed}/{len(summary)} properties passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAIL
@@ -202,6 +198,8 @@ def _is_float(s: str) -> bool:
 def cmd_compare(args) -> int:
     if args.projections < 1:
         raise ConfigError(f"--projections: must be >= 1, got {args.projections}")
+    if args.seed < 0:  # np.random.default_rng rejects a negative seed
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     bw = args.bandwidth  # mmd_gaussian's kernel scale is 1 / (2 * bandwidth**2)
     if bw is not None and not (bw > 0 and _MIN_2BW2 < 2 * bw * bw < math.inf):
         raise ConfigError(f"--bandwidth: need bw > 0 with 1 / (2 * bw**2) finite and > 0, got {bw}")
@@ -235,16 +233,9 @@ def cmd_compare(args) -> int:
 
 def cmd_dump_schedule(args) -> int:
     cfg = load_config_file(args.config)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        w = csv.writer(out)
-        w.writerow(["t", "alpha_bar", "beta"])
-        for t in range(cfg.schedule.T + 1):
-            w.writerow([t, repr(float(cfg.schedule.alpha_bar[t])),
-                        repr(float(cfg.schedule.betas[t]))])
-    finally:
-        if args.out:
-            out.close()
+    s = cfg.schedule
+    _write_outputs((args.out, [["t", "alpha_bar", "beta"]] + [
+        [t, repr(float(s.alpha_bar[t])), repr(float(s.betas[t]))] for t in range(s.T + 1)]))
     return EXIT_OK
 
 
@@ -255,7 +246,10 @@ def cmd_probe(args) -> int:
         raise ConfigError(f"--t {args.t} outside 0..{cfg.schedule.T}")
     if len(x) != cfg.dim or not np.isfinite(x).all():
         raise ConfigError(f"--x must hold {cfg.dim} finite numbers, got {args.x!r}")
-    eps = evaluate(cfg.op.denoiser, cfg.schedule, x, args.t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is caught below
+        eps = evaluate(cfg.op.denoiser, cfg.schedule, x, args.t)
+    if not np.isfinite(eps).all():
+        raise NonFiniteState(f"the prediction at --t {args.t} is non-finite: {eps}")
     print(" ".join(repr(float(v)) for v in np.atleast_1d(eps)))
     return EXIT_OK
 

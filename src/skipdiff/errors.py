@@ -46,7 +46,7 @@ class PlanMismatch(SkipDiffError):
 
 
 class NonFiniteState(SkipDiffError):
-    """A skip produced a NaN or infinite state."""
+    """A skip or a denoiser prediction produced a NaN or infinite value."""
 
 
 class WorkerFailure(SkipDiffError):

@@ -1,7 +1,9 @@
 import csv
+import errno
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skipdiff import cli
 from skipdiff.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -105,6 +108,31 @@ class TestSample:
         assert main(["sample", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["symlink", "fifo"])
+    def test_failed_write_keeps_non_regular_outputs(self, tmp_path, capsys, kind):
+        # cleanup removes only regular files: a symlink (and its target) or a
+        # pipe named as an output survives the failed report write
+        out = tmp_path / "out"
+        if kind == "symlink":
+            (tmp_path / "target.csv").write_text("")
+            out.symlink_to(tmp_path / "target.csv")
+        else:
+            os.mkfifo(out)
+            reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write cannot block
+        cfg = write_cfg(tmp_path, BIMODAL + (
+            f"schedule.T = 4\noutput.samples = {out}\noutput.report = /dev/null/r.json\n"
+        ))
+        try:
+            assert main(["sample", "--config", cfg]) == EXIT_CONFIG
+        finally:
+            if kind == "fifo":
+                os.close(reader)
+        assert capsys.readouterr().err.startswith("error: ")
+        if kind == "symlink":
+            assert out.is_symlink() and (tmp_path / "target.csv").read_text().startswith("seed,")
+        else:
+            assert stat.S_ISFIFO(os.lstat(out).st_mode)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     @pytest.mark.parametrize("mode", ["sequential", "aggressive"])
@@ -287,14 +315,44 @@ def test_fuzzed_config_never_raises(tmp_path_factory, text):
 @pytest.mark.parametrize("command", [
     ["compare", "{csv}", "{csv}", "--projections", "0"],
     ["compare", "{csv}", "{csv}", "--bandwidth", "-1"],
+    ["compare", "{csv}", "{csv}", "--seed", "-1"],
     ["verify", "coeffs", "--json", "/dev/null/v.json"],
-], ids=["compare-projections", "compare-bandwidth", "verify-json"])
+], ids=["compare-projections", "compare-bandwidth", "compare-seed", "verify-json"])
 def test_bad_flag_exits_config(tmp_path, capsys, command):
     samples = tmp_path / "s.csv"
     samples.write_text("seed,dim0\n0,0.5\n1,-0.5\n2,1.5\n")
     assert main([arg.format(csv=samples) for arg in command]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and command[-1] in err  # names the bad value or path
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--config", "{cfg}"],
+    ["bench", "--config", "{cfg}", "--devices", "2", "--repeats", "1", "--out", "{out}"],
+    ["dump-schedule", "--config", "{cfg}", "--out", "{out}"],
+    ["verify", "coeffs", "--json", "{out}"],
+], ids=["sample", "bench", "dump-schedule", "verify"])
+def test_write_failing_part_way_leaves_no_file(tmp_path, capsys, monkeypatch, command):
+    # every write puts half its text on disk, then fails as a full disk would
+    def half_writing_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        real_write = fh.write
+
+        def write(text):
+            real_write(text[: len(text) // 2 + 1])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), args[0])
+
+        fh.write = write
+        return fh
+
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, BIMODAL + (
+        f"schedule.T = 4\nlatency.eval_ms = 1\noutput.samples = {out}\n"
+    ))
+    monkeypatch.setattr(cli, "open", half_writing_open, raising=False)
+    assert main([arg.format(cfg=cfg, out=out) for arg in command]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_cli_import_loads_no_scipy():
@@ -462,6 +520,14 @@ class TestProbe:
         assert main(["probe", "--config", cfg, "--x", "0.5", "--t", "10"]) == EXIT_OK
         vals = [float(v) for v in capsys.readouterr().out.split()]
         assert len(vals) == 1 and np.isfinite(vals[0])
+
+    def test_non_finite_prediction_exits_runtime(self, tmp_path, capsys):
+        # a finite state near the float limit overflows the mixture oracle
+        cfg = write_cfg(tmp_path, BIMODAL)
+        assert main(["probe", "--config", cfg, "--x", "1e308", "--t", "4"]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "non-finite" in captured.err
 
 
 class TestBench:
