@@ -91,13 +91,13 @@ def cmd_sample(args) -> int:
 
     samples_csv = itertools.chain([["seed"] + [f"dim{j}" for j in range(cfg.dim)]], (
         [seed] + [repr(float(v)) for v in np.atleast_1d(x)] for seed, x in finals))
-    rounds_csv = [["round", "anchor_t", "parallel_evals", "round_wall_ms"]] + [
+    rounds_csv = itertools.chain([["round", "anchor_t", "parallel_evals", "round_wall_ms"]], (
         [n, r.anchor_t, r.parallel_evals, f"{r.round_wall_ms:.3f}"]
-        for n, r in enumerate(all_reports)]
+        for n, r in enumerate(all_reports)))
     report = {
         "config": cfg.raw,
         "totals": totals,
-        "rounds": [dataclasses.asdict(r) for r in all_reports],
+        "rounds": [vars(r) for r in all_reports],
         "artifacts": {"samples": cfg.out_samples, "rounds": cfg.out_rounds},
     }
     outputs = ((cfg.out_samples, samples_csv), (cfg.out_rounds, rounds_csv),
@@ -157,7 +157,7 @@ def _read_samples_csv(path: str) -> np.ndarray:
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: empty file")

@@ -89,12 +89,14 @@ def execute_round(
     pool=None,
     clock: VirtualClock | WallClock | None = None,
     meanwhile=None,
+    rehearse=None,
 ) -> tuple[list, RoundReport]:
     """Evaluate all (x, t) tasks in one round: one evaluate() call on this
     thread over the states stacked in task order (none if there are no
     tasks), `meanwhile()` during its simulated device time, then the wait on
-    `clock` (default: a new WallClock). Returns the predictions by task index
-    and the round's report, timed from dispatch to the end of the wait.
+    `clock` (default: a new WallClock), which may call `rehearse()` just
+    before its deadline. Returns the predictions by task index and the
+    round's report, timed from dispatch to the end of the wait.
     `pool` is accepted and ignored, because `perfbench/micro.py` passes one."""
     if len(tasks) > devices:
         raise InvalidPlanParams(f"{len(tasks)} tasks exceed {devices} devices")
@@ -105,13 +107,13 @@ def execute_round(
     results = []
     if tasks:
         try:
-            results = list(evaluate(d, s, np.stack([x for x, _ in tasks]),
+            results = list(evaluate(d, s, np.array([x for x, _ in tasks]),
                                     np.array([t for _, t in tasks]), clock))
         except Exception as exc:
             raise WorkerFailure(str(exc)) from exc
     if meanwhile is not None:
         meanwhile()
-    clock.wait()
+    clock.wait(rehearse)
     return results, RoundReport(anchor_t, len(tasks), clock.elapsed_ms - t0)
 
 
@@ -148,11 +150,13 @@ def run_parallel(
 
     def round_(tasks, anchor, b):
         """Evaluate (x, position) tasks in one round of block b, deriving the
-        z needed before the next round meanwhile; predictions by position."""
+        z needed before the next round meanwhile; predictions by position. The
+        first skip after the round, the unit step from task 0, is rehearsed."""
         live = [(xx, i) for xx, i in tasks if op.predicts(i)]
         vals, report = execute_round(op.denoiser, op.levels, [(xx, op.level(i)) for xx, i in live],
                                      devices, anchor_t=op.labels[anchor], clock=clock,
-                                     meanwhile=lambda: derive_through(b + 1))
+                                     meanwhile=lambda: derive_through(b + 1),
+                                     rehearse=lambda: op.rehearse(tasks[0][1], tasks[0][0]))
         reports.append(report)
         traj.eval_count += len(live)
         return {i: v for (_, i), v in zip(live, vals)}

@@ -103,20 +103,30 @@ class Operator:
             return None
         return stream.derive(self.labels[i], role, shape)
 
-    def skip(self, i: int, k: int, x: np.ndarray, v: np.ndarray, z) -> np.ndarray:
-        """Jump from position i to position i+k with the prediction v made at
-        i. Every transition and draft of both drivers passes through here, so
-        a non-finite result is caught at the step that produced it."""
+    def transition(self, i: int, k: int, x: np.ndarray, v: np.ndarray, z) -> np.ndarray:
+        """The family's jump from position i to i+k with the prediction v made at i."""
         t, u = self.labels[i], self.labels[i + k]
         if self.family == "euler":
-            out = euler_skip(self.levels, self.level(i), t - u, x, v)
-        elif self.family == "ddim":
-            out = ddim_skip(self.levels, t, t - u, x, v, self.rule, z)
-        else:
-            out = ddpm_skip_sample(self.levels, t, t - u, x, predicted_x0(self.levels, x, v, t), z)
+            return euler_skip(self.levels, self.level(i), t - u, x, v)
+        if self.family == "ddim":
+            return ddim_skip(self.levels, t, t - u, x, v, self.rule, z)
+        return ddpm_skip_sample(self.levels, t, t - u, x, predicted_x0(self.levels, x, v, t), z)
+
+    def skip(self, i: int, k: int, x: np.ndarray, v: np.ndarray, z) -> np.ndarray:
+        """`transition`, checked: every transition and draft of `sample` and
+        `run_parallel` passes here, so a non-finite state is caught where made."""
+        out = self.transition(i, k, x, v, z)
         if not np.isfinite(out).all():
+            t, u = self.labels[i], self.labels[i + k]
             raise NonFiniteState(f"{self.family} skip from t={t} to t={u} gave a non-finite state")
         return out
+
+    def rehearse(self, i: int, like: np.ndarray):
+        """Dry-run the unit step from position i (none from the last), finiteness
+        test included, on zeros shaped like `like`, to warm caches for the real one."""
+        if i < self.steps:
+            zero = np.zeros_like(like)
+            np.isfinite(self.transition(i, 1, zero, zero, zero if self.stochastic else None)).all()
 
 
 def sample(
@@ -139,7 +149,7 @@ def sample(
         v = evaluate(op.denoiser, op.levels, x, op.level(i), clock)
         traj.eval_count += 1
         z = op.noise(stream, i + 1, Role.TRANSITION, x.shape)
-        clock.wait()
+        clock.wait(lambda: op.rehearse(i, x))
         x = op.skip(i, 1, x, v, z)
         traj.states.append((op.labels[i + 1], x))
     traj.wall_ms = clock.elapsed_ms - start

@@ -1,5 +1,6 @@
 import csv
 import errno
+import functools
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipdiff import cli
+from skipdiff import Operator, VirtualClock, cli, run_parallel, sample
 from skipdiff.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -33,7 +34,7 @@ BIMODAL = (
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_bytes(text) if isinstance(text, bytes) else p.write_text(text)
     return str(p)
 
 
@@ -178,6 +179,32 @@ class TestSample:
             outputs.append((tmp_path / f"{name}.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("sampler", [
+        "sampler.family = ddim\n",
+        "sampler.family = ddim\nsampler.rule = ddpm\n",
+        "sampler.family = ddpm\n",
+    ], ids=["ddim", "ddim-rule-ddpm", "ddpm"])
+    @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
+    def test_wall_clock_rehearsals_change_no_sample(self, tmp_path, monkeypatch, sampler, mode):
+        # a wall-clock run rehearses in its waits; a virtual-clock run never does
+        cfg = write_cfg(tmp_path, BIMODAL + sampler + (
+            f"sampler.mode = {mode}\nsampler.devices = 3\nschedule.T = 12\nsamples = 2\n"
+            f"latency.eval_ms = 1\noutput.samples = {tmp_path}/s.csv\n"))
+        rehearsals = []
+        real_rehearse = Operator.rehearse
+        monkeypatch.setattr(Operator, "rehearse",
+                            lambda op, i, like: rehearsals.append(i) or real_rehearse(op, i, like))
+        assert main(["sample", "--config", cfg]) == EXIT_OK
+        wall = (tmp_path / "s.csv").read_bytes()
+        assert rehearsals
+        monkeypatch.setattr(cli, "sample", functools.partial(sample, clock=VirtualClock()))
+        monkeypatch.setattr(cli, "run_parallel",
+                            functools.partial(run_parallel, clock=VirtualClock()))
+        rehearsals.clear()
+        assert main(["sample", "--config", cfg]) == EXIT_OK
+        assert rehearsals == []
+        assert (tmp_path / "s.csv").read_bytes() == wall
+
 
 BAD_INPUTS = {
     "mixture-means": ("mixture.weights = 0.5, 0.5\nmixture.means = -2; abc\n"
@@ -227,6 +254,9 @@ BAD_INPUTS = {
     "bench-out-path": (BIMODAL + "latency.eval_ms = 1\nschedule.T = 4\n",
                        ["bench", "--devices", "2", "--repeats", "1", "--out", "/dev/null/b.csv"]),
     "dump-schedule-out-path": (BIMODAL, ["dump-schedule", "--out", "/dev/null/d.csv"]),
+    # a byte that no UTF-8 text holds
+    "config-undecodable": (BIMODAL.encode() + b"seed = 1\xff\n", ["sample"]),
+    "config-undecodable-dump-schedule": (b"\xff" + BIMODAL.encode(), ["dump-schedule"]),
     # keys the chosen schedule or family would ignore
     "beta-start-cosine": (BIMODAL + "schedule.kind = cosine\nschedule.beta_start = 0.01\n",
                           ["sample"]),
@@ -247,7 +277,10 @@ def test_bad_input_exits_config(tmp_path, capsys, case):
     text, (command, *flags) = BAD_INPUTS[case]
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if isinstance(text, bytes):  # an unreadable file is named
+        assert cfg in err
 
 
 EDGE_TOKENS = ["nan", "inf", "-1", "0", "1e300", "", "abc", "1,2", "-2 0; 2",
@@ -420,6 +453,16 @@ class TestCompare:
         good = tmp_path / "good.csv"
         self._write_samples(good, np.zeros((3, 1)))
         assert main(["compare", str(bad), str(good)]) == EXIT_CONFIG
+
+    def test_undecodable_csv(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"seed,dim0\n0,1.5\n1,\xff\n")
+        good = tmp_path / "good.csv"
+        self._write_samples(good, np.zeros((3, 1)))
+        assert main(["compare", str(good), str(bad)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "bad.csv" in captured.err
+        assert captured.out == ""
 
     def test_missing_file(self, tmp_path):
         good = tmp_path / "good.csv"

@@ -397,6 +397,70 @@ class TestWallClockWait:
         assert fake.sleeps == []
         assert fake.now >= deadline
 
+    @pytest.mark.parametrize("charges", [[5.0], [5.0, 5.0]], ids=["one", "queued"])
+    @pytest.mark.parametrize("overshoot", [0.1e-3, -1e-3], ids=["late-in-margin", "early-wake"])
+    def test_rehearses_once_between_sleep_and_deadline(self, monkeypatch, charges, overshoot):
+        fake = FakeTime(overshoot)  # a wake inside the margin, so the deadline is still ahead
+        monkeypatch.setattr(denoiser, "time", fake)
+        clock = denoiser.WallClock()
+        deadline = 0.0
+        for ms in charges:
+            deadline = self._charge(clock, fake, ms, deadline)
+        rehearsals = []
+        clock.wait(lambda: rehearsals.append(fake.now))
+        (at, s), = fake.sleeps
+        assert len(rehearsals) == 1
+        assert at + s + overshoot <= rehearsals[0] < deadline
+        assert fake.now >= deadline
+
+    @pytest.mark.parametrize("ms", [0.0, 1000.0 * denoiser._POLL_S])
+    def test_no_rehearsal_without_a_sleep(self, fake, ms):
+        clock = denoiser.WallClock()
+        deadline = self._charge(clock, fake, ms)
+        rehearsals = []
+        clock.wait(lambda: rehearsals.append(fake.now))
+        assert fake.sleeps == [] and rehearsals == []
+        assert fake.now >= deadline
+
+    def test_next_sleep_leaves_room_for_the_rehearsal(self, fake):
+        clock = denoiser.WallClock()
+
+        def rehearse():
+            fake.now += 2e-3
+        deadline = self._charge(clock, fake, 5.0)
+        clock.wait(rehearse)
+        assert fake.now >= deadline
+        deadline = self._charge(clock, fake, 5.0, deadline)
+        clock.wait(rehearse)
+        at, s = fake.sleeps[-1]
+        assert len(fake.sleeps) == 2
+        assert at + s <= deadline - denoiser._POLL_S - 2e-3 + 1e-12
+        assert fake.now >= deadline
+
+    def test_a_slow_rehearsal_is_timed_again(self, fake):
+        # one rehearsal outlasts the next wait's whole sleep: that wait skips
+        # its sleep but still rehearses, so the budget follows the new timing
+        clock = denoiser.WallClock()
+        costs = iter([10e-3, 1e-4, 1e-4])
+
+        def rehearse():
+            fake.now += next(costs)
+        deadline = 0.0
+        for _ in range(3):
+            deadline = self._charge(clock, fake, 5.0, deadline)
+            clock.wait(rehearse)
+            assert fake.now >= deadline
+        assert next(costs, None) is None
+        assert [s for _, s in fake.sleeps][1] == 0.0
+        at, s = fake.sleeps[2]
+        assert at + s <= deadline - denoiser._POLL_S - 1e-4 + 1e-12
+
+    def test_virtual_clock_never_rehearses(self):
+        clock = VirtualClock()
+        clock.charge(5.0)
+        clock.wait(lambda: pytest.fail("a virtual clock rehearsed"))
+        assert clock.elapsed_ms == 5.0
+
     def test_real_waits_never_return_early(self):
         clock = denoiser.WallClock()
         for _ in range(50):

@@ -449,3 +449,74 @@ class TestStackedRounds:
         calls.clear()
         vals, report = execute_round(AnalyticEps(bimodal_1d), op.levels, [], 4, anchor_t=1)
         assert vals == [] and report.parallel_evals == 0 and not calls
+
+
+class RehearsingClock(VirtualClock):
+    """A virtual clock whose every wait runs its rehearsal, as a wall-clock
+    wait that slept does."""
+
+    def wait(self, rehearse=None):
+        if rehearse is not None:
+            rehearse()
+
+
+class TestRehearsal:
+    """Each wait rehearses, on zeros, the unit skip that runs first after it,
+    and a rehearsal changes no output."""
+
+    CASES = [
+        ("ddim", VarianceRule.deterministic()),
+        ("ddim", VarianceRule.ddpm_induced()),
+        ("ddpm", VarianceRule.deterministic()),
+        ("euler", VarianceRule.deterministic()),
+    ]
+
+    @pytest.mark.parametrize("mode,devices", [("sequential", 1), ("aggressive", 1),
+                                              ("aggressive", 3), ("conservative", 1),
+                                              ("conservative", 3)])
+    @pytest.mark.parametrize("family,rule", CASES, ids=["ddim", "ddim-ddpm", "ddpm", "euler"])
+    def test_rehearses_the_next_unit_skip_on_zeros(self, bimodal_1d, monkeypatch,
+                                                   family, rule, mode, devices):
+        levels = build_sigma_grid(11, 0.02, 20, 7) if family == "euler" else default_schedule(11)
+        op = Operator(family, AnalyticEps(bimodal_1d), levels, rule=rule)
+        events, rehearsed_inputs = [], []
+        real_rehearse, real_skip, real_transition = (
+            Operator.rehearse, Operator.skip, Operator.transition)
+
+        def rehearse(op, i, like):
+            events.append(("rehearse", i))
+            real_rehearse(op, i, like)
+
+        def skip(op, i, k, x, v, z):
+            events.append(("skip", i, k))
+            return real_skip(op, i, k, x, v, z)
+
+        def transition(op, i, k, x, v, z):
+            if events[-1][0] == "rehearse":
+                rehearsed_inputs.append((i, k, x, v, z))
+            return real_transition(op, i, k, x, v, z)
+        monkeypatch.setattr(Operator, "rehearse", rehearse)
+        monkeypatch.setattr(Operator, "skip", skip)
+        monkeypatch.setattr(Operator, "transition", transition)
+
+        def run(clock):
+            x, stream = np.array([0.7]), RngStream(seed=5)
+            if mode == "sequential":
+                return sample(op, x, stream, clock=clock), op.steps
+            traj, reports = run_parallel(op, x, devices, Mode(mode), stream, clock=clock)
+            return traj, len(reports)
+
+        traj, waits = run(RehearsingClock())
+        rehearsals = [(n, e[1]) for n, e in enumerate(events) if e[0] == "rehearse"]
+        assert len(rehearsals) == waits
+        for n, i in rehearsals:
+            later = [e for e in events[n + 1:] if e[0] == "skip"]
+            assert later[:1] == ([("skip", i, 1)] if i < op.steps else []), (n, i)
+        assert [(i, k) for i, k, *_ in rehearsed_inputs] == \
+            [(i, 1) for _, i in rehearsals if i < op.steps]
+        for *_, x, v, z in rehearsed_inputs:
+            assert not x.any() and not v.any()
+            assert (z is None) == (not op.stochastic) and (z is None or not z.any())
+        events.clear()
+        assert _ident(traj, run(VirtualClock())[0])
+        assert not any(e[0] == "rehearse" for e in events)
