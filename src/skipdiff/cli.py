@@ -242,12 +242,13 @@ def cmd_dump_schedule(args) -> int:
 def cmd_probe(args) -> int:
     cfg = load_config_file(args.config)
     x = np.array(_parse_list(args.x, float, "--x"))
-    if not 0 <= args.t <= cfg.schedule.T:
-        raise ConfigError(f"--t {args.t} outside 0..{cfg.schedule.T}")
+    last = cfg.op.top - (cfg.op.family == "euler")  # the grid's sigma_N = 0 has no velocity
+    if not 0 <= args.t <= last:
+        raise ConfigError(f"--t {args.t} outside 0..{last}")
     if len(x) != cfg.dim or not np.isfinite(x).all():
         raise ConfigError(f"--x must hold {cfg.dim} finite numbers, got {args.x!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is caught below
-        eps = evaluate(cfg.op.denoiser, cfg.schedule, x, args.t)
+        eps = evaluate(cfg.op.denoiser, cfg.op.levels, x, args.t)
     if not np.isfinite(eps).all():
         raise NonFiniteState(f"the prediction at --t {args.t} is non-finite: {eps}")
     print(" ".join(repr(float(v)) for v in np.atleast_1d(eps)))

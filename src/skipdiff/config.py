@@ -106,7 +106,7 @@ class RunConfig:
 
     raw: dict = field(repr=False)
     op: Operator
-    schedule: NoiseSchedule  # read by dump-schedule and probe in every family
+    schedule: NoiseSchedule  # read by dump-schedule in every family; probe reads op.levels
     mode: str
     devices: int
     seed: int

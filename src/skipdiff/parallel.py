@@ -1,14 +1,14 @@
-"""Draft-and-refine parallel schedulers.
+"""Draft-and-refine parallel schedulers: one block loop for both modes.
 
-Aggressive mode: from an anchor (x_t, eps_t), draft x_{t-1}..x_{t-k} with skip
-transitions, evaluate all k noises in one parallel round, replay the unit-step
-updates to refine, and reuse the draft-evaluated eps_{t-k} at the next anchor.
-One parallel round per k steps; T+1 evaluations total; ideal speedup k.
+A block at committed position p drafts p+1..p+k from (x_p, eps_p) with skip
+transitions, evaluates the k drafts in one parallel round, and refines with
+unit steps that use their eps. `plan_blocks` sets how far each block commits.
 
-Conservative mode: each block starts with a stand-alone evaluation at the
-refined anchor, then one parallel round of k draft evaluations, and uses
-eps_{t-k} to push one extra unit step. Two rounds per k+1 steps; T evaluations
-total; ideal speedup (k+1)/2.
+Aggressive mode: k steps, carrying the draft-evaluated eps_{p+k} to the next
+block. One round per k steps plus one; T+1 evaluations; ideal speedup k.
+
+Conservative mode: k+1 steps, so each block first evaluates its refined start
+alone. Two rounds per k+1 steps; T evaluations; ideal speedup (k+1)/2.
 
 Both modes run any sequential.Operator: DDIM and DDPM predict eps on a noise
 schedule, Euler predicts the ODE velocity on a sigma grid, and all three go
@@ -126,71 +126,65 @@ def run_parallel(
     *,
     clock: VirtualClock | WallClock | None = None,
 ) -> tuple[Trajectory, list[RoundReport]]:
-    """Draft-and-refine run of any operator in either mode, one stacked
-    evaluation per round, timed on `clock` (default: a new WallClock). Tasks
-    at levels with no prediction (Euler's sigma = 0 node) are dropped:
-    nothing consumes them."""
+    """Run the blocks of `plan_blocks`, the only place the loop reads `mode`
+    (see the module docstring), one stacked evaluation per round, timed on
+    `clock` (default: a new WallClock). Tasks at levels with no prediction
+    (Euler's sigma = 0 node) are dropped: nothing consumes them."""
     clock = clock or WallClock()
     start = clock.elapsed_ms
     plan = plan_blocks(op.steps, devices, mode)
-    aggressive = mode is Mode.AGGRESSIVE
+    starts = [op.steps - r for r, _ in plan.blocks] + [op.steps]
+    blocks = [(p, k, end) for (_, k), p, end in zip(plan.blocks, starts, starts[1:])]
     x = np.asarray(x, dtype=float)
     traj = Trajectory(states=[(op.labels[0], x)])
     reports: list[RoundReport] = []
     noise, derived = {}, []  # z by (position, role); the blocks whose z is derived
 
     def derive_through(b):
-        """Derive the z that the drafts and transitions of blocks up to b take."""
-        for r, k in plan.blocks[len(derived):b + 1]:
-            i = op.steps - r
-            keys = [(i + j, Role.TRANSITION) for j in range(1, (k if aggressive else k + 1) + 1)]
-            keys += [(i + j, Role.DRAFT) for j in range(2, k + 1)]
+        """Derive the z of blocks up to b: TRANSITION into p+1..end, DRAFT for p+2..p+k."""
+        for p, k, end in blocks[len(derived):b + 1]:
+            keys = [(q, Role.TRANSITION) for q in range(p + 1, end + 1)]
+            keys += [(p + j, Role.DRAFT) for j in range(2, k + 1)]
             noise.update({key: op.noise(stream, *key, x.shape) for key in keys})
-            derived.append(r)
+            derived.append(p)
 
-    def round_(tasks, anchor, b):
+    def round_(tasks, b):
         """Evaluate (x, position) tasks in one round of block b, deriving the
         z needed before the next round meanwhile; predictions by position. The
-        first skip after the round, the unit step from task 0, is rehearsed."""
+        first skip after the round, the unit step from task 0, is rehearsed.
+        No tasks, no round."""
+        if not tasks:
+            return {}
         live = [(xx, i) for xx, i in tasks if op.predicts(i)]
         vals, report = execute_round(op.denoiser, op.levels, [(xx, op.level(i)) for xx, i in live],
-                                     devices, anchor_t=op.labels[anchor], clock=clock,
+                                     devices, anchor_t=op.labels[blocks[b][0]], clock=clock,
                                      meanwhile=lambda: derive_through(b + 1),
                                      rehearse=lambda: op.rehearse(tasks[0][1], tasks[0][0]))
         reports.append(report)
         traj.eval_count += len(live)
         return {i: v for (_, i), v in zip(live, vals)}
 
-    def advance(i, k, x, v, role=Role.TRANSITION):
-        return op.skip(i, k, x, v, noise.pop((i + k, role)))
-
-    if aggressive:
-        v = round_([(x, 0)], 0, 0)[0]
-    for b, (r, k) in enumerate(plan.blocks):
-        i = op.steps - r
-        if not aggressive:
-            v = round_([(x, i)], i, b)[i]
-        if k == 0:  # degenerate final conservative block: one unit step, no round
-            x = advance(i, 1, x, v)
-            traj.states.append((op.labels[i + 1], x))
-            continue
-        # The j=1 draft IS the kept state at i+1, so it takes that
-        # state's TRANSITION noise; deeper drafts are discarded after
+    v = None  # the eps cached for the next block's start
+    for b, (p, k, end) in enumerate(blocks):
+        if v is None:
+            v = round_([(x, p)], b)[p]
+        # The j=1 draft IS the committed state at p+1 (made even when k = 0), so it
+        # takes that state's TRANSITION noise; deeper drafts are discarded after
         # their evaluation and take DRAFT keys.
-        drafts = [advance(i, j, x, v, Role.TRANSITION if j == 1 else Role.DRAFT)
-                  for j in range(1, k + 1)]
-        vals = round_([(drafts[j - 1], i + j) for j in range(1, k + 1)], i, b)
+        drafts = [op.skip(p, j, x, v, noise.pop((p + j, Role.TRANSITION if j == 1 else Role.DRAFT)))
+                  for j in range(1, max(k, 1) + 1)]
+        eps = round_([(xx, p + j) for j, xx in enumerate(drafts[:k], 1)], b)
         x = drafts[0]
-        traj.states.append((op.labels[i + 1], x))
-        for j in range(2, (k if aggressive else k + 1) + 1):
-            x = advance(i + j - 1, 1, x, vals[i + j - 1])
-            traj.states.append((op.labels[i + j], x))
-        v = vals.get(i + k)  # aggressive: the cached draft prediction for the next anchor
+        traj.states.append((op.labels[p + 1], x))
+        for q in range(p + 1, end):
+            x = op.skip(q, 1, x, eps[q], noise.pop((q + 1, Role.TRANSITION)))
+            traj.states.append((op.labels[q + 1], x))
+        v = eps.get(end)
 
     if traj.states[-1][0] != 0:
         raise PlanMismatch(f"trajectory ends at t={traj.states[-1][0]}, expected 0")
     expected = plan.total_evals
-    if aggressive and not op.predicts(op.steps):
+    if mode is Mode.AGGRESSIVE and not op.predicts(op.steps):
         expected -= 1  # the final draft, at sigma = 0, is never dispatched
     if traj.eval_count != expected:
         raise PlanMismatch(f"{traj.eval_count} evals, plan expected {expected}")

@@ -14,7 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipdiff import Operator, VirtualClock, cli, run_parallel, sample
+from skipdiff import (
+    GaussianMixture,
+    Operator,
+    VirtualClock,
+    build_sigma_grid,
+    cli,
+    run_parallel,
+    sample,
+    velocity_oracle,
+)
 from skipdiff.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -211,6 +220,9 @@ BAD_INPUTS = {
                       "mixture.variances = 1, 1\n", ["sample"]),
     "probe-x": (BIMODAL, ["probe", "--x", "foo", "--t", "1"]),
     "probe-t-out-of-range": (BIMODAL + "schedule.T = 10\n", ["probe", "--x", "0", "--t", "999"]),
+    # the grid's last node, sigma_N = 0, has no velocity
+    "probe-t-euler-sigma-zero": (BIMODAL + "sampler.family = euler\ngrid.N = 8\n",
+                                 ["probe", "--x", "0", "--t", "8"]),
     "probe-x-wrong-length": (BIMODAL, ["probe", "--x", "0,0", "--t", "1"]),
     "probe-x-nan": ("denoiser.kind = state-independent\ndim = 2\n",
                     ["probe", "--x", "nan,0", "--t", "1"]),
@@ -563,6 +575,19 @@ class TestProbe:
         assert main(["probe", "--config", cfg, "--x", "0.5", "--t", "10"]) == EXIT_OK
         vals = [float(v) for v in capsys.readouterr().out.split()]
         assert len(vals) == 1 and np.isfinite(vals[0])
+
+    def test_euler_probe_is_the_samplers_velocity(self, tmp_path, capsys):
+        # the Euler sampler evaluates the velocity at a grid index, not eps on the schedule
+        cfg = write_cfg(tmp_path, BIMODAL + "sampler.family = euler\ngrid.N = 32\n"
+                        "grid.sigma_min = 0.02\ngrid.sigma_max = 10\ngrid.rho = 3\n")
+        assert main(["probe", "--config", cfg, "--x", "0.5", "--t", "31"]) == EXIT_OK
+        assert main(["probe", "--config", cfg, "--x", "0.5", "--t", "10"]) == EXIT_OK
+        *_, last, tenth = capsys.readouterr().out.splitlines()
+        gm = GaussianMixture(weights=[0.5, 0.5], means=[[-2.0], [2.0]], variances=[1.0, 1.0])
+        sigmas = build_sigma_grid(32, 0.02, 10, 3).sigmas
+        for out, i in ((last, 31), (tenth, 10)):
+            assert [float(v) for v in out.split()] == \
+                list(velocity_oracle(gm, np.array([0.5]), sigmas[i]))
 
     def test_non_finite_prediction_exits_runtime(self, tmp_path, capsys):
         # a finite state near the float limit overflows the mixture oracle

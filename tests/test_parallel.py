@@ -451,6 +451,48 @@ class TestStackedRounds:
         assert vals == [] and report.parallel_evals == 0 and not calls
 
 
+class TestDraftRule:
+    """Draft j of the block at committed position p is evaluated at
+    op.skip(p, j, x_p, eps_p, z): z is the TRANSITION noise of p+j for j = 1
+    and its DRAFT noise for j >= 2, and eps_p is the eps the run holds for p."""
+
+    @pytest.mark.parametrize("T,devices", [(11, 3), (7, 1)], ids=["T11-d3", "T7-d1-tail"])
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("family,rule", [("ddim", VarianceRule.ddpm_induced()),
+                                             ("ddpm", VarianceRule.deterministic())],
+                             ids=["ddim-ddpm", "ddpm"])
+    def test_draft_rows(self, bimodal_1d, monkeypatch, family, rule, mode, T, devices):
+        calls = []
+        real = parallel.evaluate
+
+        def recording(d, s, x, t, clock=None):
+            out = real(d, s, x, t, clock)
+            calls.append((np.array(x), [int(u) for u in t], out))
+            return out
+        monkeypatch.setattr(parallel, "evaluate", recording)
+        op = Operator(family, AnalyticEps(bimodal_1d), default_schedule(T), rule=rule)
+        stream = RngStream(seed=4)
+        traj, _ = run_parallel(op, np.array([0.7]), devices, mode, stream, clock=VirtualClock())
+
+        states, eps, rounds = dict(traj.states), {}, iter(calls)
+        for t, k in plan_blocks(T, devices, mode).blocks:
+            x_p = states[t]
+            if t not in eps:  # no eps held for p: the block evaluates p alone first
+                x, ts, out = next(rounds)
+                assert ts == [t] and x[0].tobytes() == x_p.tobytes()
+                eps[t] = out[0]
+            if k == 0:
+                continue
+            x, ts, out = next(rounds)
+            assert ts == [t - j for j in range(1, k + 1)]
+            for j in range(1, k + 1):
+                z = stream.derive(t - j, Role.TRANSITION if j == 1 else Role.DRAFT, x_p.shape)
+                draft = op.skip(T - t, j, x_p, eps[t], z)
+                assert x[j - 1].tobytes() == draft.tobytes(), (t, j)
+                eps[t - j] = out[j - 1]
+        assert next(rounds, None) is None
+
+
 class RehearsingClock(VirtualClock):
     """A virtual clock whose every wait runs its rehearsal, as a wall-clock
     wait that slept does."""
