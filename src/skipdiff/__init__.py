@@ -24,7 +24,6 @@ from .denoiser import (
 from .metrics import (
     SampleSet,
     mmd_gaussian,
-    mmd_permutation_threshold,
     sliced_w2,
 )
 from .parallel import (
@@ -47,7 +46,6 @@ from .schedule import (
 from .sequential import (
     Operator,
     Trajectory,
-    predicted_x0,
     sample,
 )
 from .transitions import (
@@ -59,6 +57,7 @@ from .transitions import (
     ddpm_skip_posterior,
     ddpm_skip_sample,
     euler_skip,
+    predicted_x0,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -233,9 +233,13 @@ def cmd_compare(args) -> int:
 
 def cmd_dump_schedule(args) -> int:
     cfg = load_config_file(args.config)
-    s = cfg.schedule
-    _write_outputs((args.out, [["t", "alpha_bar", "beta"]] + [
-        [t, repr(float(s.alpha_bar[t])), repr(float(s.betas[t]))] for t in range(s.T + 1)]))
+    lv = cfg.op.levels
+    if cfg.op.family == "euler":
+        rows = [["i", "sigma"]] + [[i, repr(float(v))] for i, v in enumerate(lv.sigmas)]
+    else:
+        rows = [["t", "alpha_bar", "beta"]] + [
+            [t, repr(float(lv.alpha_bar[t])), repr(float(lv.betas[t]))] for t in range(lv.T + 1)]
+    _write_outputs((args.out, rows))
     return EXIT_OK
 
 
@@ -286,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--bandwidth", type=float, default=None)
     cp.set_defaults(fn=cmd_compare)
 
-    dp = sub.add_parser("dump-schedule", help="emit the configured schedule as CSV")
+    dp = sub.add_parser("dump-schedule", help="emit the noise levels the sampler runs on as CSV")
     dp.add_argument("--config", required=True)
     dp.add_argument("--out", default=None)
     dp.set_defaults(fn=cmd_dump_schedule)

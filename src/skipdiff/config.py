@@ -37,7 +37,7 @@ from .denoiser import (
     StateIndependent,
 )
 from .errors import ConfigError, SkipDiffError
-from .schedule import NoiseSchedule, build_cosine, build_linear_beta, build_sigma_grid
+from .schedule import build_cosine, build_linear_beta, build_sigma_grid
 from .sequential import Operator
 from .transitions import VarianceRule
 
@@ -106,7 +106,6 @@ class RunConfig:
 
     raw: dict = field(repr=False)
     op: Operator
-    schedule: NoiseSchedule  # read by dump-schedule in every family; probe reads op.levels
     mode: str
     devices: int
     seed: int
@@ -244,7 +243,7 @@ def _build(kv: dict, given: dict) -> RunConfig:
     return RunConfig(
         raw=kv,
         op=Operator(family, denoiser, grid if family == "euler" else schedule, labels, rule),
-        schedule=schedule, mode=mode, devices=_number(kv, "sampler.devices", int, 1),
+        mode=mode, devices=_number(kv, "sampler.devices", int, 1),
         seed=_number(kv, "seed", int, 0, _SEED_KEYS - samples),  # run i uses seed + i
         samples=samples, dim=dim,
         out_samples=kv.get("output.samples"),

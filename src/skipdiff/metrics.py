@@ -87,22 +87,3 @@ def mmd_gaussian(a: SampleSet, b: SampleSet, bandwidth: float) -> float:
     term_bb = (k_bb.sum() - np.trace(k_bb)) / (m * (m - 1))
     return float(term_aa + term_bb - 2.0 * k_ab.mean())
 
-
-def mmd_permutation_threshold(
-    a: SampleSet, b: SampleSet, bandwidth: float, permutations: int = 200,
-    quantile: float = 0.95, seed: int = 0,
-) -> float:
-    """Null threshold for mmd_gaussian: the given quantile of MMD^2 over
-    random relabelings of the pooled samples."""
-    _check_dims(a, b)
-    pooled = np.vstack([a.samples, b.samples])
-    n = len(a)
-    rng = np.random.default_rng(seed)
-    vals = []
-    for _ in range(permutations):
-        idx = rng.permutation(len(pooled))
-        vals.append(
-            mmd_gaussian(SampleSet(pooled[idx[:n]]), SampleSet(pooled[idx[n:]]), bandwidth)
-        )
-    return float(np.quantile(vals, quantile))
-

@@ -5,7 +5,6 @@ approximate (within the skip-vs-compose bound, for real denoisers). Each
 step derives its transition noise during its evaluation's simulated device
 time, and makes the transition after the wait."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +13,7 @@ from .denoiser import Denoiser, VirtualClock, WallClock, evaluate
 from .errors import InvalidSubsequence, NonFiniteState
 from .rng import RngStream, Role
 from .schedule import NoiseSchedule, SigmaGrid
-from .transitions import VarianceRule, ddim_skip, ddpm_skip_sample, euler_skip
+from .transitions import VarianceRule, ddim_skip, ddpm_skip_sample, euler_skip, predicted_x0
 
 
 @dataclass
@@ -32,12 +31,6 @@ class Trajectory:
 
     def timesteps(self) -> list[int]:
         return [t for t, _ in self.states]
-
-
-def predicted_x0(s: NoiseSchedule, x_t: np.ndarray, eps: np.ndarray, t: int) -> np.ndarray:
-    """x0_hat = (x_t - sqrt(1-abar_t) eps) / sqrt(abar_t)."""
-    a_t = s.alpha_bar[t]
-    return (x_t - math.sqrt(1.0 - a_t) * eps) / math.sqrt(a_t)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ Three operator families, all pure and safe for unrestricted concurrent use:
         mu' = [sqrt(abar_t/abar_{t-k}) (1-abar_{t-k}) x_t
                + sqrt(abar_{t-k}) (1-abar_t/abar_{t-k}) x_0] / (1-abar_t)
         var = (1-abar_t/abar_{t-k}) (1-abar_{t-k}) / (1-abar_t)
-  * DDIM marginal-consistency skip with coefficients
+  * DDIM marginal-consistency skip with sigma = eta sqrt(var), eta in [0, 1],
+    and coefficients
         kappa = sqrt(1-abar_{t-k}-sigma^2) / sqrt(1-abar_t)
         lambda = sqrt(abar_{t-k}) - kappa sqrt(abar_t)
   * Euler ODE skip -- one fused integration step across k grid intervals.
@@ -17,7 +18,6 @@ parallel scheduler's determinism contract holds by construction.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,50 +25,38 @@ from .errors import IndexOutOfRange, InvalidSkip, TimestepOutOfRange, VarianceTo
 from .schedule import NoiseSchedule, SigmaGrid
 
 
-class VarianceKind(Enum):
-    DETERMINISTIC = "deterministic"
-    DDPM_INDUCED = "ddpm"
-    ETA = "eta"
-
-
 @dataclass(frozen=True)
 class VarianceRule:
-    """Transition-std policy sigma_{t,k}: zero (deterministic), the
-    DDPM-induced value, or an eta-scaled fraction of it."""
+    """Transition-std policy sigma_{t,k} = eta x the DDPM-induced std, eta in
+    [0, 1]: eta = 0 is deterministic, eta = 1 the DDPM-induced value."""
 
-    kind: VarianceKind
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.kind is VarianceKind.ETA and not 0.0 <= self.eta <= 1.0:
+        if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
     @classmethod
     def deterministic(cls):
-        return cls(VarianceKind.DETERMINISTIC)
+        return cls(0.0)
 
     @classmethod
     def ddpm_induced(cls):
-        return cls(VarianceKind.DDPM_INDUCED)
+        return cls(1.0)
 
     @classmethod
     def eta_scaled(cls, eta: float):
-        return cls(VarianceKind.ETA, eta=eta)
+        return cls(eta)
 
     @property
     def stochastic(self) -> bool:
-        return self.kind is VarianceKind.DDPM_INDUCED or (
-            self.kind is VarianceKind.ETA and self.eta > 0.0
-        )
+        return self.eta > 0.0
 
     def sigma(self, s: NoiseSchedule, t: int, k: int) -> float:
         """sigma_{t,k} for the transition t -> t-k."""
-        if self.kind is VarianceKind.DETERMINISTIC:
+        if not self.stochastic:
             return 0.0
-        induced = math.sqrt(_ddpm_skip_variance(s, t, k))
-        if self.kind is VarianceKind.DDPM_INDUCED:
-            return induced
-        return self.eta * induced
+        return self.eta * math.sqrt(_ddpm_skip_variance(s, t, k))
 
 
 @dataclass(frozen=True)
@@ -102,17 +90,31 @@ def _ddpm_skip_variance(s: NoiseSchedule, t: int, k: int) -> float:
     return (1.0 - a_t / a_s) * (1.0 - a_s) / (1.0 - a_t)
 
 
+def predicted_x0(s: NoiseSchedule, x_t: np.ndarray, eps: np.ndarray, t: int) -> np.ndarray:
+    """x0_hat = (x_t - sqrt(1-abar_t) eps) / sqrt(abar_t)."""
+    a_t = s.alpha_bar[t]
+    return (x_t - math.sqrt(1.0 - a_t) * eps) / math.sqrt(a_t)
+
+
+def _add_noise(mean: np.ndarray, sigma: float, z: np.ndarray | None) -> np.ndarray:
+    """mean + sigma z; z may be None only when sigma is 0."""
+    if sigma == 0.0:
+        return mean
+    if z is None:
+        raise ValueError("z required for a stochastic transition")
+    return mean + sigma * z
+
+
 def ddpm_skip_posterior(
     s: NoiseSchedule, t: int, k: int, x_t: np.ndarray, x0_hat: np.ndarray
 ) -> SkipPosterior:
     """k-step analogue of the one-step DDPM posterior."""
-    _check_skip(s, t, k)
+    variance = _ddpm_skip_variance(s, t, k)
     a_t = s.alpha_bar[t]
     a_s = s.alpha_bar[t - k]
     ratio = a_t / a_s
-    denom = 1.0 - a_t
-    mean = (np.sqrt(ratio) * (1.0 - a_s) * x_t + np.sqrt(a_s) * (1.0 - ratio) * x0_hat) / denom
-    variance = (1.0 - ratio) * (1.0 - a_s) / denom
+    mean = (np.sqrt(ratio) * (1.0 - a_s) * x_t
+            + np.sqrt(a_s) * (1.0 - ratio) * x0_hat) / (1.0 - a_t)
     return SkipPosterior(mean=mean, variance=variance)
 
 
@@ -127,11 +129,7 @@ def ddpm_skip_sample(
     """mean + sqrt(variance) * z. z may be None only when the variance is 0
     (the skip-to-0 degeneracy)."""
     post = ddpm_skip_posterior(s, t, k, x_t, x0_hat)
-    if post.variance == 0.0:
-        return post.mean
-    if z is None:
-        raise ValueError("z required for a stochastic transition")
-    return post.mean + math.sqrt(post.variance) * z
+    return _add_noise(post.mean, math.sqrt(post.variance), z)
 
 
 def _ddim_sigma(s: NoiseSchedule, t: int, k: int, rule: VarianceRule) -> tuple:
@@ -170,14 +168,9 @@ def ddim_skip(
         x_{t-k} = sqrt(abar_{t-k}) x0_hat + sqrt(1-abar_{t-k}-sigma^2) eps + sigma z,
         x0_hat  = (x_t - sqrt(1-abar_t) eps) / sqrt(abar_t).
     """
-    a_t, a_s, sigma = _ddim_sigma(s, t, k, rule)
-    x0_hat = (x_t - math.sqrt(1.0 - a_t) * eps) / math.sqrt(a_t)
-    out = math.sqrt(a_s) * x0_hat + math.sqrt(1.0 - a_s - sigma**2) * eps
-    if sigma > 0.0:
-        if z is None:
-            raise ValueError("z required for a stochastic transition")
-        out = out + sigma * z
-    return out
+    _, a_s, sigma = _ddim_sigma(s, t, k, rule)
+    out = math.sqrt(a_s) * predicted_x0(s, x_t, eps, t) + math.sqrt(1.0 - a_s - sigma**2) * eps
+    return _add_noise(out, sigma, z)
 
 
 def euler_skip(g: SigmaGrid, i: int, k: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:

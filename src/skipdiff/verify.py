@@ -30,13 +30,13 @@ def suite_equivalence():
     """State-independent denoiser: both parallel modes reproduce sequential
     DDIM bit-exactly across a (T, devices, rule) grid."""
     results = []
-    rules = [VarianceRule.deterministic(), VarianceRule.ddpm_induced()]
+    rules = {"deterministic": VarianceRule.deterministic(), "ddpm": VarianceRule.ddpm_induced()}
     for T in (8, 20, 50):
         s = default_schedule(T)
         den = StateIndependent(seed=11, dim=2)
         stream = RngStream(seed=T)
         x_T = derive_noise(stream, T, Role.INIT, 2)
-        for rule in rules:
+        for name, rule in rules.items():
             op = Operator("ddim", den, s, rule=rule)
             seq = sample(op, x_T, stream)
             for devices in (1, 2, 3, 4):
@@ -46,7 +46,7 @@ def suite_equivalence():
                         np.array_equal(a[1], b[1]) for a, b in zip(seq.states, traj.states)
                     )
                     results.append(_result(
-                        f"equivalence[{mode.value},T={T},devices={devices},rule={rule.kind.value}]",
+                        f"equivalence[{mode.value},T={T},devices={devices},rule={name}]",
                         same,
                     ))
     return results

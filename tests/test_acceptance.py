@@ -67,7 +67,7 @@ def test_01_equivalence_oracle(capsys):
                 for mode in Mode:
                     traj, _ = run_parallel(op, x_T, devices, mode, stream)
                     if not _ident(traj, seq):
-                        failures.append((mode.value, T, devices, rule.kind.value))
+                        failures.append((mode.value, T, devices, rule.eta))
     _report(capsys, "equivalence oracle (bit-identical to sequential DDIM)",
             not failures, f"failures={failures}" if failures else "48 configurations")
 

@@ -188,6 +188,20 @@ class TestSample:
             outputs.append((tmp_path / f"{name}.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("eta, rule", [("1", "ddpm"), ("0", "deterministic")])
+    @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
+    def test_eta_rule_at_an_end_is_the_named_rule(self, tmp_path, eta, rule, mode):
+        # a variance rule is one eta: ddpm is eta = 1 and deterministic is eta = 0
+        outputs = []
+        for name, extra in (("eta", f"sampler.rule = eta\nsampler.eta = {eta}\n"),
+                            ("named", f"sampler.rule = {rule}\n")):
+            cfg = write_cfg(tmp_path, BIMODAL + extra + (
+                f"sampler.mode = {mode}\nsampler.devices = 3\nschedule.T = 20\nsamples = 2\n"
+                f"output.samples = {tmp_path}/{name}.csv\n"), name=f"{name}.cfg")
+            assert main(["sample", "--config", cfg]) == EXIT_OK
+            outputs.append((tmp_path / f"{name}.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("sampler", [
         "sampler.family = ddim\n",
         "sampler.family = ddim\nsampler.rule = ddpm\n",
@@ -560,6 +574,17 @@ class TestDumpSchedule:
         assert float(rows[1][1]) == 1.0
         abars = [float(r[1]) for r in rows[1:]]
         assert all(x > y for x, y in zip(abars, abars[1:]))
+
+    def test_euler_writes_its_sigma_grid(self, tmp_path, capsys):
+        # the Euler sampler runs on the sigma grid, not on the noise schedule
+        cfg = write_cfg(tmp_path, BIMODAL + "sampler.family = euler\nschedule.T = 7\n"
+                        "grid.N = 12\ngrid.sigma_min = 0.02\ngrid.sigma_max = 10\ngrid.rho = 3\n")
+        assert main(["dump-schedule", "--config", cfg]) == EXIT_OK
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == ["i", "sigma"]
+        assert rows[1:] == [[str(i), repr(float(v))]
+                            for i, v in enumerate(build_sigma_grid(12, 0.02, 10, 3).sigmas)]
+        assert len(rows) == 14 and float(rows[-1][1]) == 0.0
 
 
 class TestProbe:

@@ -34,7 +34,7 @@ class TestParseKvText:
 class TestLoadConfig:
     def test_defaults(self):
         cfg = load_config("")
-        assert cfg.schedule.T == 50
+        assert cfg.op.levels.T == 50
         assert cfg.op.family == "ddim"
         assert cfg.mode == "sequential"
         assert cfg.devices == 1
@@ -131,7 +131,7 @@ def test_load_config_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("schedule.T = 8\nseed = 2\n")
     cfg = load_config_file(str(p))
-    assert cfg.schedule.T == 8
+    assert cfg.op.levels.T == 8
     assert cfg.seed == 2
     with pytest.raises(ConfigError, match="cannot read"):
         load_config_file(str(tmp_path / "missing.cfg"))

@@ -257,6 +257,6 @@ class TestOperatorSkip:
                 return 10.0
 
         op = Operator("ddim", AnalyticEps(std_normal_1d), default_schedule(10),
-                      rule=Huge(VarianceRule.deterministic().kind))
+                      rule=Huge())
         with pytest.raises(VarianceTooLarge):
             op.skip(0, 2, np.zeros(1), np.zeros(1), np.zeros(1))

@@ -133,11 +133,16 @@ class TestDdimCoeffs:
 
         s = build_linear_beta(10, 0.01, 0.1)
         with pytest.raises(VarianceTooLarge):
-            ddim_skip_coeffs(s, 5, 2, Huge(VarianceRule.deterministic().kind))
+            ddim_skip_coeffs(s, 5, 2, Huge())
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
             VarianceRule.eta_scaled(1.5)
+
+    def test_a_rule_is_one_eta(self):
+        # the named rules are the two ends of the eta range
+        assert VarianceRule.eta_scaled(1.0) == VarianceRule.ddpm_induced()
+        assert VarianceRule.eta_scaled(0.0) == VarianceRule.deterministic()
 
 
 class TestDdimSkip:
