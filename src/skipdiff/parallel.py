@@ -3,6 +3,9 @@
 A block at committed position p drafts p+1..p+k from (x_p, eps_p) with skip
 transitions, evaluates the k drafts in one parallel round, and refines with
 unit steps that use their eps. `plan_blocks` sets how far each block commits.
+Draft j takes the TRANSITION noise of the state p+j it stands for, which the
+refine into p+j takes too, so a run derives the noise `sample` derives, once
+per position.
 
 Aggressive mode: k steps, carrying the draft-evaluated eps_{p+k} to the next
 block. One round per k steps plus one; T+1 evaluations; ideal speedup k.
@@ -29,7 +32,7 @@ import numpy as np
 
 from .denoiser import Denoiser, VirtualClock, WallClock, evaluate, latency_of
 from .errors import InvalidPlanParams, PlanMismatch, WorkerFailure
-from .rng import RngStream, Role
+from .rng import RngStream
 from .schedule import NoiseSchedule, SigmaGrid
 from .sequential import Operator, Trajectory
 
@@ -138,15 +141,12 @@ def run_parallel(
     x = np.asarray(x, dtype=float)
     traj = Trajectory(states=[(op.labels[0], x)])
     reports: list[RoundReport] = []
-    noise, derived = {}, []  # z by (position, role); the blocks whose z is derived
+    z = [None]  # the TRANSITION noise into each position, derived a block ahead
 
     def derive_through(b):
-        """Derive the z of blocks up to b: TRANSITION into p+1..end, DRAFT for p+2..p+k."""
-        for p, k, end in blocks[len(derived):b + 1]:
-            keys = [(q, Role.TRANSITION) for q in range(p + 1, end + 1)]
-            keys += [(p + j, Role.DRAFT) for j in range(2, k + 1)]
-            noise.update({key: op.noise(stream, *key, x.shape) for key in keys})
-            derived.append(p)
+        """Derive the z into every position through the end of block b (or the last block)."""
+        end = blocks[min(b, len(blocks) - 1)][2]
+        z.extend(op.noise(stream, q, x.shape) for q in range(len(z), end + 1))
 
     def round_(tasks, b):
         """Evaluate (x, position) tasks in one round of block b, deriving the
@@ -168,16 +168,13 @@ def run_parallel(
     for b, (p, k, end) in enumerate(blocks):
         if v is None:
             v = round_([(x, p)], b)[p]
-        # The j=1 draft IS the committed state at p+1 (made even when k = 0), so it
-        # takes that state's TRANSITION noise; deeper drafts are discarded after
-        # their evaluation and take DRAFT keys.
-        drafts = [op.skip(p, j, x, v, noise.pop((p + j, Role.TRANSITION if j == 1 else Role.DRAFT)))
-                  for j in range(1, max(k, 1) + 1)]
+        # draft j takes the noise of the state p+j it stands for; j = 1 IS x_{p+1} (even at k = 0)
+        drafts = [op.skip(p, j, x, v, z[p + j]) for j in range(1, max(k, 1) + 1)]
         eps = round_([(xx, p + j) for j, xx in enumerate(drafts[:k], 1)], b)
         x = drafts[0]
         traj.states.append((op.labels[p + 1], x))
         for q in range(p + 1, end):
-            x = op.skip(q, 1, x, eps[q], noise.pop((q + 1, Role.TRANSITION)))
+            x = op.skip(q, 1, x, eps[q], z[q + 1])
             traj.states.append((op.labels[q + 1], x))
         v = eps.get(end)
 

@@ -10,8 +10,7 @@ _STREAM_SALT = 0x7A9C
 
 
 class Role(IntEnum):
-    TRANSITION = 0  # noise consumed by the transition that survives into timestep t
-    DRAFT = 1       # draft j >= 2 of a block, discarded after its evaluation
+    TRANSITION = 0  # noise of the transition into timestep t, shared by its drafts
     INIT = 2        # the run's initial x_T
 
 

@@ -89,12 +89,14 @@ class Operator:
         where the velocity is undefined and nothing downstream needs it."""
         return self.family != "euler" or self.labels[i] > 0
 
-    def noise(self, stream: RngStream, i: int, role: Role, shape):
-        """z for the state at position i, keyed by its label; None when the
-        operator consumes no noise."""
+    def noise(self, stream: RngStream | None, i: int, shape):
+        """The TRANSITION z into the state at position i, keyed by its label;
+        None when the operator consumes no noise."""
         if not self.stochastic:
             return None
-        return stream.derive(self.labels[i], role, shape)
+        if stream is None:
+            raise ValueError(f"stream required for a stochastic {self.family} operator")
+        return stream.derive(self.labels[i], Role.TRANSITION, shape)
 
     def transition(self, i: int, k: int, x: np.ndarray, v: np.ndarray, z) -> np.ndarray:
         """The family's jump from position i to i+k with the prediction v made at i."""
@@ -133,7 +135,7 @@ def sample(
 
     The z consumed by the transition into label u is always
     stream.derive(u, TRANSITION); an operator without noise consumes none
-    (`stream` may then be None)."""
+    (`stream` may then be None, and must not be otherwise)."""
     clock = clock or WallClock()
     start = clock.elapsed_ms
     x = np.asarray(x, dtype=float)
@@ -141,7 +143,7 @@ def sample(
     for i in range(op.steps):
         v = evaluate(op.denoiser, op.levels, x, op.level(i), clock)
         traj.eval_count += 1
-        z = op.noise(stream, i + 1, Role.TRANSITION, x.shape)
+        z = op.noise(stream, i + 1, x.shape)
         clock.wait(lambda: op.rehearse(i, x))
         x = op.skip(i, 1, x, v, z)
         traj.states.append((op.labels[i + 1], x))

@@ -142,7 +142,7 @@ def suite_rng():
     a = derive_noise(stream, 5, Role.TRANSITION, 16)
     results = [
         _result("rng[determinism]", np.array_equal(a, derive_noise(stream, 5, Role.TRANSITION, 16))),
-        _result("rng[role separation]", not np.array_equal(a, derive_noise(stream, 5, Role.DRAFT, 16))),
+        _result("rng[role separation]", not np.array_equal(a, derive_noise(stream, 5, Role.INIT, 16))),
     ]
     keys, per = 20, 5_000  # 100 000 draws
     chunks = [derive_noise(stream, t, Role.TRANSITION, per) for t in range(keys)]

@@ -13,6 +13,7 @@ from skipdiff import (
     Operator,
     RngStream,
     Role,
+    SampleSet,
     StateIndependent,
     VarianceRule,
     VirtualClock,
@@ -22,6 +23,7 @@ from skipdiff import (
     plan_blocks,
     run_parallel,
     sample,
+    sliced_w2,
 )
 from skipdiff import parallel, sequential
 from skipdiff.errors import InvalidPlanParams, WorkerFailure
@@ -247,6 +249,28 @@ class TestFidelity:
                     traj, _ = run_parallel(op, x_T, 1, Mode.CONSERVATIVE, stream)
                     assert _ident(traj, sample(op, x_T, stream)), (T, family, rule, seed)
 
+    @pytest.mark.parametrize("family,rule", [("ddpm", VarianceRule.deterministic()),
+                                             ("ddim", VarianceRule.ddpm_induced())],
+                             ids=["ddpm", "ddim-ddpm"])
+    def test_stochastic_distributional_quality(self, sched50, bimodal_2d, family, rule):
+        # acceptance test 06 for a stochastic rule on two devices: the sliced W2
+        # of each mode to sequential stays within 2x the seed-to-seed null
+        n = 10_000
+        op = Operator(family, AnalyticEps(bimodal_2d), sched50, rule=rule)
+
+        def batch(seed, mode=None):
+            stream = RngStream(seed=seed)
+            x_T = derive_noise(stream, 50, Role.INIT, (n, 2))
+            if mode is None:
+                return SampleSet(sample(op, x_T, stream, clock=VirtualClock()).final)
+            return SampleSet(run_parallel(op, x_T, 2, mode, stream, clock=VirtualClock())[0].final)
+
+        seq = batch(0)
+        null = sliced_w2(seq, batch(1))
+        for mode in Mode:
+            ratio = sliced_w2(batch(0, mode), seq) / null
+            assert ratio <= 2.0, (mode, ratio)
+
 
 class TestParallelEuler:
     @pytest.fixture(scope="class")
@@ -453,8 +477,9 @@ class TestStackedRounds:
 
 class TestDraftRule:
     """Draft j of the block at committed position p is evaluated at
-    op.skip(p, j, x_p, eps_p, z): z is the TRANSITION noise of p+j for j = 1
-    and its DRAFT noise for j >= 2, and eps_p is the eps the run holds for p."""
+    op.skip(p, j, x_p, eps_p, z): z is the TRANSITION noise of p+j for every
+    j, the noise of the state the draft stands for, and eps_p is the eps the
+    run holds for p."""
 
     @pytest.mark.parametrize("T,devices", [(11, 3), (7, 1)], ids=["T11-d3", "T7-d1-tail"])
     @pytest.mark.parametrize("mode", list(Mode))
@@ -486,11 +511,48 @@ class TestDraftRule:
             x, ts, out = next(rounds)
             assert ts == [t - j for j in range(1, k + 1)]
             for j in range(1, k + 1):
-                z = stream.derive(t - j, Role.TRANSITION if j == 1 else Role.DRAFT, x_p.shape)
+                z = stream.derive(t - j, Role.TRANSITION, x_p.shape)
                 draft = op.skip(T - t, j, x_p, eps[t], z)
                 assert x[j - 1].tobytes() == draft.tobytes(), (t, j)
                 eps[t - j] = out[j - 1]
         assert next(rounds, None) is None
+
+
+class TestNoiseDraws:
+    """Both modes draw exactly the noise `sample` draws: the TRANSITION vector
+    into each state, each once."""
+
+    @pytest.mark.parametrize("T,devices,labels", [(11, 3, None), (7, 1, None), (50, 4, None),
+                                                  (50, 3, (50, 44, 37, 30, 22, 15, 9, 4, 0))],
+                             ids=["T11-d3", "T7-d1", "T50-d4", "T50-d3-subsequence"])
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("family,rule", [("ddpm", VarianceRule.deterministic()),
+                                             ("ddim", VarianceRule.ddpm_induced()),
+                                             ("ddim", VarianceRule.eta_scaled(0.5))],
+                             ids=["ddpm", "ddim-ddpm", "ddim-eta"])
+    def test_sequential_draws_each_once(self, bimodal_1d, monkeypatch,
+                                        family, rule, mode, T, devices, labels):
+        draws = []
+        real = RngStream.derive
+
+        def recording(stream, t, role, shape):
+            draws.append((t, role))
+            return real(stream, t, role, shape)
+        monkeypatch.setattr(RngStream, "derive", recording)
+        op = Operator(family, AnalyticEps(bimodal_1d), default_schedule(T), labels, rule)
+        x, stream = np.array([0.7]), RngStream(seed=6)
+        sample(op, x, stream, clock=VirtualClock())
+        expected = list(draws)
+        draws.clear()
+        run_parallel(op, x, devices, mode, stream, clock=VirtualClock())
+        assert sorted(draws) == sorted(expected)
+        assert len(set(draws)) == len(draws)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_stochastic_operator_needs_a_stream(self, sched50, bimodal_1d, mode):
+        op = Operator("ddpm", AnalyticEps(bimodal_1d), sched50)
+        with pytest.raises(ValueError, match="stream required for a stochastic ddpm operator"):
+            run_parallel(op, np.array([0.3]), 2, mode, None, clock=VirtualClock())
 
 
 class RehearsingClock(VirtualClock):

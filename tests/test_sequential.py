@@ -62,6 +62,10 @@ class TestSampleDdpm:
         assert abs(finals.mean()) <= 4 * se_mean
         assert abs(finals.var() - 1) <= 4 * se_var
 
+    def test_needs_a_stream(self, bimodal_1d, sched50):
+        with pytest.raises(ValueError, match="stream required for a stochastic ddpm operator"):
+            sample(Operator("ddpm", AnalyticEps(bimodal_1d), sched50), np.array([0.5]), None)
+
 
 class TestSampleDdim:
     def test_deterministic_consumes_no_noise(self, bimodal_1d, sched50):
