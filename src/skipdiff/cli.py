@@ -21,13 +21,12 @@ import json
 import math
 import os
 import stat
-import statistics
 import sys
 
 import numpy as np
 
 from .config import RunConfig, load_config_file
-from .denoiser import evaluate, latency_of
+from .denoiser import Latency, VirtualClock, WallClock, evaluate
 from .errors import ConfigError, NonFiniteState, ParseError, SkipDiffError, SuiteNotFound
 from .metrics import SampleSet, mmd_gaussian, sliced_w2
 from .parallel import Mode, run_parallel
@@ -43,16 +42,17 @@ EXIT_SUITE_NOT_FOUND = 5
 _MIN_2BW2 = 1 / sys.float_info.max  # 2 * bandwidth**2 must exceed this for a finite reciprocal
 
 
-def _run_once(cfg: RunConfig, seed: int):
-    """One sampling run; returns (trajectory, round reports)."""
+def _run_once(cfg: RunConfig, seed: int, clock: VirtualClock | WallClock | None = None):
+    """One sampling run, timed on `clock` (default: a new WallClock);
+    returns (trajectory, round reports)."""
     stream = RngStream(seed=seed)
     op = cfg.op
     x = derive_noise(stream, op.top, Role.INIT, cfg.dim)
     if op.family == "euler":
         x = op.levels.sigmas[0] * x  # the variance-exploding start
     if cfg.mode == "sequential":
-        return sample(op, x, stream), []
-    return run_parallel(op, x, cfg.devices, Mode(cfg.mode), stream)
+        return sample(op, x, stream, clock), []
+    return run_parallel(op, x, cfg.devices, Mode(cfg.mode), stream, clock=clock)
 
 
 def _write_outputs(*outputs) -> None:
@@ -109,31 +109,31 @@ def cmd_sample(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_config_file(args.config)
-    if latency_of(cfg.op.denoiser) is None:
-        raise ConfigError("bench requires a latency model (latency.eval_ms)")
+    # config puts Latency outermost; at eval_ms = 0 a speedup would read 0 / 0
+    if not isinstance(cfg.op.denoiser, Latency) or cfg.op.denoiser.model.eval_time_ms == 0:
+        raise ConfigError("bench requires a latency model with latency.eval_ms > 0")
     devices_list = _parse_list(args.devices, int, "--devices")
-    if min(devices_list) < 1 or args.repeats < 1:
-        raise ConfigError("--devices and --repeats must be >= 1")
+    if min(devices_list) < 1:
+        raise ConfigError("--devices must be >= 1")
     modes = args.modes.split(",")
     for m in modes:
         if m not in ("aggressive", "conservative"):
             raise ConfigError(f"unknown bench mode {m!r}")
 
-    def median_wall(mode, devices):
+    def wall(mode, devices):
+        """The simulated latency of one run, summed on a virtual clock."""
         run_cfg = dataclasses.replace(cfg, mode=mode, devices=devices)
-        _run_once(run_cfg, cfg.seed)  # warm-up
-        walls = [_run_once(run_cfg, cfg.seed)[0].wall_ms for _ in range(args.repeats)]
-        return statistics.median(walls)
+        return _run_once(run_cfg, cfg.seed, VirtualClock())[0].wall_ms
 
-    seq_ms = median_wall("sequential", 1)
+    seq_ms = wall("sequential", 1)
     rows = [("sequential", 1, seq_ms, 1.0, seq_ms)]
     for mode in modes:
         for devices in devices_list:
-            ms = median_wall(mode, devices)
+            ms = wall(mode, devices)
             bound = seq_ms / devices if mode == "aggressive" else seq_ms * 2 / (devices + 1)
             rows.append((mode, devices, ms, seq_ms / ms, bound))
 
-    _write_outputs((args.out, [["mode", "devices", "median_ms", "speedup", "theory_bound"]] + [
+    _write_outputs((args.out, [["mode", "devices", "wall_ms", "speedup", "theory_bound"]] + [
         [mode, devices, f"{ms:.3f}", f"{speedup:.4f}", f"{bound:.3f}"]
         for mode, devices, ms, speedup, bound in rows]))
     return EXIT_OK
@@ -269,11 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.set_defaults(fn=cmd_sample)
 
-    bp = sub.add_parser("bench", help="latency sweep over modes and device counts")
+    bp = sub.add_parser("bench", help="simulated-latency sweep over modes and device counts")
     bp.add_argument("--config", required=True)
     bp.add_argument("--devices", default="2,3,4", help="comma list of device counts")
     bp.add_argument("--modes", default="aggressive,conservative")
-    bp.add_argument("--repeats", type=int, default=5)
     bp.add_argument("--out", default=None, help="CSV output path (default stdout)")
     bp.set_defaults(fn=cmd_bench)
 

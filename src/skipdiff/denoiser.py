@@ -162,7 +162,8 @@ def state_independent_eps(seed: int, t: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Simulated device time of one evaluation from its dispatch, plus per-round overhead."""
+    """Simulated device time of one evaluation from its dispatch, plus the
+    dispatch overhead of a stacked call (one parallel round)."""
 
     eval_time_ms: float
     dispatch_overhead_ms: float = 0.0
@@ -301,7 +302,8 @@ def evaluate(
 
     t may also be a 1-D int array, one timestep per row of x: row j of the
     result is then bitwise evaluate(d, s, x[j], t[j]). Latency charges such
-    a stacked call once; Counting counts its rows.
+    a stacked call (one parallel round) once: dispatch_overhead_ms, then
+    eval_time_ms. Counting counts its rows.
 
     Latency charges eval_time_ms to `clock` (a VirtualClock in fast CI) and
     returns without waiting, so the caller can overlap host work before
@@ -328,6 +330,8 @@ def evaluate(
     if isinstance(d, Latency):
         own = clock is None
         clock = WallClock() if own else clock
+        if not np.isscalar(t):
+            clock.charge(d.model.dispatch_overhead_ms)
         clock.charge(d.model.eval_time_ms)
         value = evaluate(d.inner, s, x, t, clock)
         if own:
@@ -338,12 +342,3 @@ def evaluate(
         return evaluate(d.inner, s, x, t, clock)
     raise TypeError(f"unknown denoiser kind: {type(d).__name__}")
 
-
-def latency_of(d: Denoiser) -> LatencyModel | None:
-    """Innermost latency model in a wrapper stack, if any (used by the
-    scheduler to account dispatch overhead per round)."""
-    if isinstance(d, Latency):
-        return d.model
-    if isinstance(d, (Perturbed, Counting)):
-        return latency_of(d.inner)
-    return None

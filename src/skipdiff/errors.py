@@ -49,10 +49,6 @@ class NonFiniteState(SkipDiffError):
     """A skip or a denoiser prediction produced a NaN or infinite value."""
 
 
-class WorkerFailure(SkipDiffError):
-    """A parallel round's evaluation raised; chained to the underlying error."""
-
-
 class EmptySet(SkipDiffError):
     """Metric called on an empty sample set."""
 

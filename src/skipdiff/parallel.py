@@ -30,8 +30,8 @@ from enum import Enum
 
 import numpy as np
 
-from .denoiser import Denoiser, VirtualClock, WallClock, evaluate, latency_of
-from .errors import InvalidPlanParams, PlanMismatch, WorkerFailure
+from .denoiser import Denoiser, VirtualClock, WallClock, evaluate
+from .errors import InvalidPlanParams, PlanMismatch
 from .rng import RngStream
 from .schedule import NoiseSchedule, SigmaGrid
 from .sequential import Operator, Trajectory
@@ -96,24 +96,18 @@ def execute_round(
 ) -> tuple[list, RoundReport]:
     """Evaluate all (x, t) tasks in one round: one evaluate() call on this
     thread over the states stacked in task order (none if there are no
-    tasks), `meanwhile()` during its simulated device time, then the wait on
-    `clock` (default: a new WallClock), which may call `rehearse()` just
-    before its deadline. Returns the predictions by task index and the
-    round's report, timed from dispatch to the end of the wait.
-    `pool` is accepted and ignored, because `perfbench/micro.py` passes one."""
+    tasks), which charges the round's simulated latency to `clock` (default:
+    a new WallClock), `meanwhile()` during that device time, then the wait
+    on `clock`, which may call `rehearse()` just before its deadline.
+    Returns the predictions by task index and the round's report, timed
+    from dispatch to the end of the wait. `pool` is accepted and ignored,
+    because `perfbench/micro.py` passes one."""
     if len(tasks) > devices:
         raise InvalidPlanParams(f"{len(tasks)} tasks exceed {devices} devices")
     clock = clock or WallClock()
-    model = latency_of(d)
     t0 = clock.elapsed_ms
-    clock.charge(model.dispatch_overhead_ms if model else 0.0)
-    results = []
-    if tasks:
-        try:
-            results = list(evaluate(d, s, np.array([x for x, _ in tasks]),
-                                    np.array([t for _, t in tasks]), clock))
-        except Exception as exc:
-            raise WorkerFailure(str(exc)) from exc
+    results = list(evaluate(d, s, np.array([x for x, _ in tasks]),
+                            np.array([t for _, t in tasks]), clock)) if tasks else []
     if meanwhile is not None:
         meanwhile()
     clock.wait(rehearse)

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 from skipdiff import (
     GaussianMixture,
+    Mode,
     Operator,
     VirtualClock,
     build_sigma_grid,
     cli,
-    run_parallel,
-    sample,
+    plan_blocks,
     velocity_oracle,
 )
 from skipdiff.cli import (
@@ -220,9 +220,8 @@ class TestSample:
         assert main(["sample", "--config", cfg]) == EXIT_OK
         wall = (tmp_path / "s.csv").read_bytes()
         assert rehearsals
-        monkeypatch.setattr(cli, "sample", functools.partial(sample, clock=VirtualClock()))
-        monkeypatch.setattr(cli, "run_parallel",
-                            functools.partial(run_parallel, clock=VirtualClock()))
+        monkeypatch.setattr(cli, "_run_once",
+                            functools.partial(cli._run_once, clock=VirtualClock()))
         rehearsals.clear()
         assert main(["sample", "--config", cfg]) == EXIT_OK
         assert rehearsals == []
@@ -240,8 +239,9 @@ BAD_INPUTS = {
     "probe-x-wrong-length": (BIMODAL, ["probe", "--x", "0,0", "--t", "1"]),
     "probe-x-nan": ("denoiser.kind = state-independent\ndim = 2\n",
                     ["probe", "--x", "nan,0", "--t", "1"]),
-    "bench-repeats": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--repeats", "0"]),
     "bench-devices": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--devices", "a"]),
+    # with no simulated latency every speedup would read 0 / 0
+    "bench-eval-zero": (BIMODAL + "latency.eval_ms = 0\n", ["bench"]),
     "recompute-anchor-typo": (BIMODAL + "sampler.mode = aggressive\n"
                               "sampler.recompute_anchor_eps = ture\n", ["sample"]),
     "mixture-weights-nan": ("mixture.weights = nan, 0.5\nmixture.means = -2; 2\n"
@@ -278,7 +278,7 @@ BAD_INPUTS = {
     "output-rounds-path": (BIMODAL + "schedule.T = 4\noutput.rounds = /dev/null/r.csv\n",
                            ["sample"]),
     "bench-out-path": (BIMODAL + "latency.eval_ms = 1\nschedule.T = 4\n",
-                       ["bench", "--devices", "2", "--repeats", "1", "--out", "/dev/null/b.csv"]),
+                       ["bench", "--devices", "2", "--out", "/dev/null/b.csv"]),
     "dump-schedule-out-path": (BIMODAL, ["dump-schedule", "--out", "/dev/null/d.csv"]),
     # a byte that no UTF-8 text holds
     "config-undecodable": (BIMODAL.encode() + b"seed = 1\xff\n", ["sample"]),
@@ -387,7 +387,7 @@ def test_bad_flag_exits_config(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", [
     ["sample", "--config", "{cfg}"],
-    ["bench", "--config", "{cfg}", "--devices", "2", "--repeats", "1", "--out", "{out}"],
+    ["bench", "--config", "{cfg}", "--devices", "2", "--out", "{out}"],
     ["dump-schedule", "--config", "{cfg}", "--out", "{out}"],
     ["verify", "coeffs", "--json", "{out}"],
 ], ids=["sample", "bench", "dump-schedule", "verify"])
@@ -630,15 +630,37 @@ class TestBench:
         assert "latency" in capsys.readouterr().err
 
     def test_virtual_sweep_csv(self, tmp_path):
+        # T = 12 on the virtual clock: the walls are rounds x eval_ms, exactly
         cfg = write_cfg(tmp_path, BIMODAL + "latency.eval_ms = 1\nschedule.T = 12\n")
         out = tmp_path / "bench.csv"
         assert main(["bench", "--config", cfg, "--devices", "2,3",
-                     "--repeats", "1", "--out", str(out)]) == EXIT_OK
+                     "--out", str(out)]) == EXIT_OK
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["mode", "devices", "median_ms", "speedup", "theory_bound"]
-        assert [r[0] for r in rows[1:]] == ["sequential", "aggressive", "aggressive",
-                                            "conservative", "conservative"]
-        for row in rows[2:]:
-            assert float(row[2]) > 0
-            assert float(row[3]) > 0
+        assert rows == [["mode", "devices", "wall_ms", "speedup", "theory_bound"],
+                        ["sequential", "1", "12.000", "1.0000", "12.000"],
+                        ["aggressive", "2", "7.000", "1.7143", "6.000"],
+                        ["aggressive", "3", "5.000", "2.4000", "4.000"],
+                        ["conservative", "2", "8.000", "1.5000", "8.000"],
+                        ["conservative", "3", "6.000", "2.0000", "6.000"]]
+
+    @pytest.mark.parametrize("overhead_ms", [0, 1])
+    def test_speedups_are_the_round_laws(self, tmp_path, overhead_ms):
+        # README's run, T = 50: a stacked round costs overhead_ms + eval_ms, a
+        # sequential step eval_ms alone; two sweeps write the same bytes
+        cfg = write_cfg(tmp_path, BIMODAL + (
+            f"schedule.T = 50\nlatency.eval_ms = 50\nlatency.overhead_ms = {overhead_ms}\n"))
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main(["bench", "--config", cfg, "--devices", "2,3,4",
+                         "--out", str(out)]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        with open(outs[0], newline="") as fh:
+            rows = list(csv.reader(fh))[2:]
+        laws = [(mode, devices, plan_blocks(50, devices, Mode(mode)).total_rounds)
+                for mode in ("aggressive", "conservative") for devices in (2, 3, 4)]
+        assert [r[:4] for r in rows] == [
+            [mode, str(devices), f"{rounds * (50 + overhead_ms):.3f}",
+             f"{50 * 50 / (rounds * (50 + overhead_ms)):.4f}"] for mode, devices, rounds in laws]
+        if overhead_ms == 0:
+            assert rows[2][3] == "3.5714"  # aggressive d=4: 50 steps in 14 rounds

@@ -26,7 +26,7 @@ from skipdiff import (
     sliced_w2,
 )
 from skipdiff import parallel, sequential
-from skipdiff.errors import InvalidPlanParams, WorkerFailure
+from skipdiff.errors import DimensionMismatch, InvalidPlanParams
 from skipdiff.rng import derive_noise
 
 
@@ -196,9 +196,19 @@ class TestExecuteRound:
 
     def test_worker_failure_propagates(self, sched50, bimodal_1d):
         den = AnalyticEps(bimodal_1d)
-        tasks = [(np.zeros(1), 5), (np.zeros(2), 5)]  # second has a bad dim
-        with pytest.raises(WorkerFailure):
+        tasks = [(np.zeros(2), 5), (np.zeros(2), 5)]  # 2-D states on a 1-D mixture
+        with pytest.raises(DimensionMismatch):
             execute_round(den, sched50, tasks, 2, anchor_t=5)
+
+    @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
+    def test_drivers_raise_the_same_error(self, sched50, bimodal_2d, mode):
+        # a 1-D state on a 2-D mixture: the evaluation's own error, in every driver
+        op = Operator("ddim", AnalyticEps(bimodal_2d), sched50)
+        with pytest.raises(DimensionMismatch):
+            if mode == "sequential":
+                sample(op, np.zeros(1), None, VirtualClock())
+            else:
+                run_parallel(op, np.zeros(1), 3, Mode(mode), None, clock=VirtualClock())
 
 
 class TestDeterminism:
@@ -390,6 +400,28 @@ class TestSpeedupVirtualClock:
         traj = sample(Operator("ddim", den, s, rule=VarianceRule.deterministic()), x_T, stream,
                       clock=clock)
         assert traj.wall_ms == T * eval_ms
+
+
+class TestOverheadVirtualClock:
+    """A stacked call (one parallel round) costs dispatch_overhead_ms plus
+    eval_time_ms, a sequential step eval_time_ms alone, and a round that
+    dispatches nothing costs nothing: Euler's last aggressive round at
+    N = 17 on 4 devices holds only the sigma = 0 draft."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("family, T, devices", [
+        ("ddim", 20, 3), ("ddpm", 20, 3), ("euler", 16, 4), ("euler", 17, 4)])
+    def test_run_wall(self, bimodal_1d, family, T, devices, mode):
+        eval_ms, overhead_ms = 5.0, 0.75
+        levels = build_sigma_grid(T, 0.02, 20, 7) if family == "euler" else default_schedule(T)
+        op = Operator(family, Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_ms, overhead_ms)),
+                      levels)
+        x, stream = np.array([1.5]), RngStream(seed=4)
+        assert sample(op, x, stream, VirtualClock()).wall_ms == T * eval_ms
+        traj, reports = run_parallel(op, x, devices, mode, stream, clock=VirtualClock())
+        walls = [overhead_ms + eval_ms if r.parallel_evals else 0.0 for r in reports]
+        assert [r.round_wall_ms for r in reports] == walls
+        assert traj.wall_ms == sum(walls)
 
 
 class TestWallClockOverlap:
