@@ -11,7 +11,6 @@ from .denoiser import (
     GaussianMixture,
     Latency,
     LatencyModel,
-    Perturbed,
     StateIndependent,
     VirtualClock,
     eps_oracle,

@@ -69,7 +69,9 @@ def _write_outputs(*outputs) -> None:
                     fh.write(content)
                 else:
                     csv.writer(fh).writerows(content)
-    except BaseException:
+    except BaseException as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.filename = path  # a failed write or close names no file; None is stdout
         for path in filter(None, written):
             with contextlib.suppress(OSError):
                 if stat.S_ISREG(os.lstat(path).st_mode):
@@ -159,10 +161,11 @@ def _read_samples_csv(path: str) -> np.ndarray:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    rows = [row for row in rows if row]  # csv reads a blank line as []
     if not rows:
         raise ParseError(f"{path}: empty file")
     start_col = 0
-    if rows[0] and rows[0][0].strip().lower() == "seed":
+    if rows[0][0].strip().lower() == "seed":
         start_col = 1
         rows = rows[1:]
     elif not _is_float(rows[0][0]):
@@ -208,15 +211,14 @@ def cmd_compare(args) -> int:
     if a.dim != b.dim:
         raise ParseError(f"{args.file_b}: {b.dim} columns, but {args.file_a} has {a.dim}")
     files = f"{args.file_a}, {args.file_b}"
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        if bw is None:  # median pairwise distance heuristic on a subsample
-            pooled = np.vstack([a.samples[:500], b.samples[:500]])
-            d = np.sqrt(((pooled[:, None, :] - pooled[None, :, :]) ** 2).sum(-1))
-            bw = float(np.median(d[np.triu_indices(len(pooled), 1)]))
-            if not _MIN_2BW2 < 2 * bw * bw < math.inf:
-                raise ConfigError(f"{files}: the pooled samples' median pairwise distance is "
-                                  f"{bw}, which gives no kernel scale: give --bandwidth")
-        sw2, mmd = sliced_w2(a, b, args.projections, args.seed), mmd_gaussian(a, b, bw)
+    if bw is None:  # median pairwise distance heuristic on a subsample
+        pooled = np.vstack([a.samples[:500], b.samples[:500]])
+        d = np.sqrt(((pooled[:, None, :] - pooled[None, :, :]) ** 2).sum(-1))
+        bw = float(np.median(d[np.triu_indices(len(pooled), 1)]))
+        if not _MIN_2BW2 < 2 * bw * bw < math.inf:
+            raise ConfigError(f"{files}: the pooled samples' median pairwise distance is "
+                              f"{bw}, which gives no kernel scale: give --bandwidth")
+    sw2, mmd = sliced_w2(a, b, args.projections, args.seed), mmd_gaussian(a, b, bw)
     if not (math.isfinite(sw2) and math.isfinite(mmd)):
         raise ParseError(f"{files}: values too large for finite distances "
                          f"(sliced_w2 {sw2}, mmd {mmd})")
@@ -251,8 +253,7 @@ def cmd_probe(args) -> int:
         raise ConfigError(f"--t {args.t} outside 0..{last}")
     if len(x) != cfg.dim or not np.isfinite(x).all():
         raise ConfigError(f"--x must hold {cfg.dim} finite numbers, got {args.x!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is caught below
-        eps = evaluate(cfg.op.denoiser, cfg.op.levels, x, args.t)
+    eps = evaluate(cfg.op.denoiser, cfg.op.levels, x, args.t)
     if not np.isfinite(eps).all():
         raise NonFiniteState(f"the prediction at --t {args.t} is non-finite: {eps}")
     print(" ".join(repr(float(v)) for v in np.atleast_1d(eps)))
@@ -305,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # outputs are checked: Operator.skip, probe, compare
+            return args.fn(args)
     except SuiteNotFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SUITE_NOT_FOUND
@@ -313,7 +315,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # inputs are read under ConfigError/ParseError: this is an output path
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except (SkipDiffError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,6 @@ from .denoiser import (
     GaussianMixture,
     Latency,
     LatencyModel,
-    Perturbed,
     StateIndependent,
 )
 from .errors import ConfigError, SkipDiffError
@@ -60,7 +59,6 @@ KNOWN_KEYS = {
     "grid.rho": ("3", "grid spacing exponent"),
     "denoiser.kind": ("mixture", "mixture | state-independent"),
     "denoiser.seed": ("0", "state-independent stream seed"),
-    "denoiser.perturb_scale": ("0", "optional perturbation wrapper magnitude"),
     "mixture.weights": ("1", "component weights (comma list)"),
     "mixture.means": ("0 0", "component means (semicolon-separated vectors)"),
     "mixture.variances": ("1", "per-component isotropic variances (comma list)"),
@@ -227,9 +225,6 @@ def _build(kv: dict, given: dict) -> RunConfig:
     else:
         raise ValueError(f"denoiser.kind: unknown kind {kind!r}")
 
-    scale = _number(kv, "denoiser.perturb_scale", lo=0.0)
-    if scale > 0:
-        denoiser = Perturbed(denoiser, scale)
     _applies(given, "latency.overhead_ms", "latency.eval_ms" in given,
              "runs that set latency.eval_ms")
     if "latency.eval_ms" in kv:

@@ -8,7 +8,6 @@ State vectors are plain float arrays of shape (dim,) or batched (n, dim);
 every oracle broadcasts over the leading batch axis.
 """
 
-import hashlib
 import time
 from dataclasses import dataclass
 
@@ -18,8 +17,6 @@ from .errors import DimensionMismatch, NonPositiveSigma, TimestepOutOfRange
 from .schedule import NoiseSchedule, SigmaGrid
 
 _STATE_INDEP_SALT = 0x51DE  # keeps state_independent_eps streams apart from RngStream keys
-_PERTURB_SALT = b"perturb"
-_PERTURB_QUANTUM = 1e-8
 # How long before its deadline a WallClock wait stops sleeping and polls the
 # clock instead. Over 400 charge(5) + wait() pairs on a 2-vCPU Linux VM
 # (Python 3.11), waits end 3.2-4.5 us late (median) with this margin and
@@ -243,19 +240,6 @@ class StateIndependent:
 
 
 @dataclass(frozen=True)
-class Perturbed:
-    """Adds deterministic pseudo-noise of magnitude `scale`, keyed by the
-    quantized state and timestep, to probe robustness reproducibly."""
-
-    inner: "Denoiser"
-    scale: float
-
-    def __post_init__(self):
-        if not (self.scale >= 0 and np.isfinite(self.scale)):
-            raise ValueError("scale must be finite and >= 0")
-
-
-@dataclass(frozen=True)
 class Latency:
     """Transparent wrapper: identical values, computed inside eval_time_ms from dispatch."""
 
@@ -273,17 +257,7 @@ class Counting:
         self.count = 0
 
 
-Denoiser = AnalyticEps | StateIndependent | Perturbed | Latency | Counting
-
-
-def _perturbation(x: np.ndarray, t: int, scale: float) -> np.ndarray:
-    q = np.round(np.asarray(x, dtype=float) / _PERTURB_QUANTUM).astype(np.int64)
-    digest = hashlib.blake2b(
-        _PERTURB_SALT + int(t).to_bytes(8, "little", signed=True) + q.tobytes(),
-        digest_size=8,
-    ).digest()
-    rng = np.random.default_rng(int.from_bytes(digest, "little"))
-    return scale * rng.standard_normal(x.shape)
+Denoiser = AnalyticEps | StateIndependent | Latency | Counting
 
 
 def evaluate(
@@ -320,13 +294,6 @@ def evaluate(
         if np.isscalar(t):
             return state_independent_eps(d.seed, t, d.dim)
         return np.stack([state_independent_eps(d.seed, int(u), d.dim) for u in t])
-    if isinstance(d, Perturbed):
-        value = evaluate(d.inner, s, x, t, clock)
-        if d.scale == 0.0:
-            return value
-        if np.isscalar(t):
-            return value + _perturbation(x, t, d.scale)
-        return np.stack([v + _perturbation(xj, u, d.scale) for v, xj, u in zip(value, x, t)])
     if isinstance(d, Latency):
         own = clock is None
         clock = WallClock() if own else clock

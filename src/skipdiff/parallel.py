@@ -11,7 +11,8 @@ Aggressive mode: k steps, carrying the draft-evaluated eps_{p+k} to the next
 block. One round per k steps plus one; T+1 evaluations; ideal speedup k.
 
 Conservative mode: k+1 steps, so each block first evaluates its refined start
-alone. Two rounds per k+1 steps; T evaluations; ideal speedup (k+1)/2.
+alone. 2*ceil(T/(k+1)) rounds, one fewer when the plan ends on a lone step
+(T = 1, or k = 1 and T odd); T evaluations; ideal speedup (k+1)/2.
 
 Both modes run any sequential.Operator: DDIM and DDPM predict eps on a noise
 schedule, Euler predicts the ODE velocity on a sigma grid, and all three go
@@ -45,8 +46,8 @@ class Mode(Enum):
 @dataclass(frozen=True)
 class BlockPlan:
     """Partition of T..1 into blocks (anchor_t, k). Aggressive blocks consume
-    k steps; conservative blocks consume k+1 (a degenerate final k=0 block
-    consumes 1 when T = 1 mod (devices+1) and no donor block exists)."""
+    k steps; conservative blocks consume k+1 (a final k=0 block consumes 1
+    when T = 1 mod (devices+1) and T = 1 or devices = 1: no block can lend)."""
 
     blocks: tuple
     total_rounds: int

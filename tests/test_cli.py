@@ -1,12 +1,14 @@
 import csv
 import errno
 import functools
+import io
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,16 +146,19 @@ class TestSample:
         else:
             assert stat.S_ISFIFO(os.lstat(out).st_mode)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     @pytest.mark.parametrize("mode", ["sequential", "aggressive"])
     def test_non_finite_state_exits_runtime(self, tmp_path, capsys, mode):
-        # a finite mean near the float limit overflows the oracle
+        # a finite mean near the float limit overflows the oracle; numpy warns of
+        # nothing, because the non-finite state itself is the one error reported
         cfg = write_cfg(tmp_path, (
             f"mixture.means = 1e308\nsampler.mode = {mode}\nsampler.devices = 2\n"
             f"output.samples = {tmp_path}/p.csv\n"
         ))
-        assert main(["sample", "--config", cfg]) == EXIT_RUNTIME
-        assert "non-finite state" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sample", "--config", cfg]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite state" in err
         assert not (tmp_path / "p.csv").exists()
 
     def test_unallocatable_state_exits_runtime(self, tmp_path, capsys):
@@ -240,6 +245,9 @@ BAD_INPUTS = {
     "probe-x-nan": ("denoiser.kind = state-independent\ndim = 2\n",
                     ["probe", "--x", "nan,0", "--t", "1"]),
     "bench-devices": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--devices", "a"]),
+    "bench-devices-zero": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--devices", "0"]),
+    "bench-mode-sequential": (BIMODAL + "latency.eval_ms = 1\n",
+                              ["bench", "--modes", "sequential"]),
     # with no simulated latency every speedup would read 0 / 0
     "bench-eval-zero": (BIMODAL + "latency.eval_ms = 0\n", ["bench"]),
     "recompute-anchor-typo": (BIMODAL + "sampler.mode = aggressive\n"
@@ -254,6 +262,7 @@ BAD_INPUTS = {
     "latency-eval-negative": (BIMODAL + "latency.eval_ms = -1\n", ["sample"]),
     "latency-overhead-negative": (BIMODAL + "latency.eval_ms = 1\nlatency.overhead_ms = -1\n",
                                   ["sample"]),
+    # denoiser.perturb_scale is not a key, so it is rejected as unknown
     "perturb-scale-negative": (BIMODAL + "denoiser.perturb_scale = -0.5\n", ["sample"]),
     # past threading.TIMEOUT_MAX time.sleep raises OverflowError or OSError
     "latency-eval-too-long": (BIMODAL + "latency.eval_ms = 1e300\n", ["sample"]),
@@ -320,7 +329,7 @@ VALID_TOKENS = {  # one or two accepted values per key, so runs get past the fir
     "schedule.offset": ["0.008"], "grid.N": ["4"], "grid.sigma_min": ["0.02"],
     "grid.sigma_max": ["10"], "grid.rho": ["3"],
     "denoiser.kind": ["mixture", "state-independent"], "denoiser.seed": ["3"],
-    "denoiser.perturb_scale": ["0.1"], "mixture.weights": ["0.5, 0.5"],
+    "mixture.weights": ["0.5, 0.5"],
     "mixture.means": ["-2; 2", "-2 0; 2 0"], "mixture.variances": ["1, 1"],
     "latency.eval_ms": ["0", "0.01"], "latency.overhead_ms": ["0", "0.01"],
     "sampler.family": ["ddpm", "ddim", "euler"],
@@ -356,7 +365,6 @@ def config_texts(draw):
     return "".join(f"{key} = {value}\n" for key, value in entries.items())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing values are drawn on purpose
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(text=config_texts())
 def test_fuzzed_config_never_raises(tmp_path_factory, text):
@@ -414,6 +422,27 @@ def test_write_failing_part_way_leaves_no_file(tmp_path, capsys, monkeypatch, co
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+@pytest.mark.parametrize("out", [None, "d.csv"], ids=["stdout", "path"])
+def test_failed_write_names_its_output(tmp_path, capsys, monkeypatch, out):
+    # a write into a closed pipe or a full device raises an OSError that names no file
+    class Failing(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def failing_open(file, *args, **kwargs):
+        open(file, *args, **kwargs).close()  # the file exists, as after a real open
+        return Failing()
+
+    path = tmp_path / out if out else None
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    monkeypatch.setattr(sys, "stdout", Failing())
+    cfg = write_cfg(tmp_path, BIMODAL)
+    assert main(["dump-schedule", "--config", cfg] + (["--out", str(path)] if out else [])) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: cannot write {path or 'stdout'}: Broken pipe\n"
+    assert path is None or not path.exists()
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy is for the tests alone
     code = ("import sys, skipdiff.cli\n"
@@ -429,7 +458,8 @@ class TestVerify:
         assert main(["verify", "nope"]) == EXIT_SUITE_NOT_FOUND
         assert "unknown suite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", ["coeffs", "equivalence", "accounting"])
+    @pytest.mark.parametrize("suite", ["coeffs", "equivalence", "accounting", "marginals", "rng",
+                                       "oracles", "all"])
     def test_coeffs_suite_passes(self, tmp_path, capsys, suite):
         out = tmp_path / "v.json"
         assert main(["verify", suite, "--json", str(out)]) == EXIT_OK
@@ -543,6 +573,27 @@ class TestCompare:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error: ")
             assert all(str(f) in captured.err for f in files)
+
+    @pytest.mark.parametrize("text", [
+        "\nseed,dim0\n0,0.5\n1,-0.5\n2,1.5\n",
+        "seed,dim0\n0,0.5\n1,-0.5\n2,1.5\n\n\n",
+        "0.5\n-0.5\n1.5\n",
+    ], ids=["leading-blank", "trailing-blank", "headerless"])
+    def test_variant_compares_like_its_twin(self, tmp_path, capsys, text):
+        twin, variant, other = tmp_path / "twin.csv", tmp_path / "variant.csv", tmp_path / "o.csv"
+        twin.write_text("seed,dim0\n0,0.5\n1,-0.5\n2,1.5\n")
+        variant.write_text(text)
+        self._write_samples(other, np.arange(4.0)[:, None])
+        assert main(["compare", str(twin), str(other)]) == EXIT_OK
+        expected = json.loads(capsys.readouterr().out)
+        assert main(["compare", str(variant), str(other)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == expected
+
+    def test_blank_file(self, tmp_path, capsys):
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n\n")
+        assert main(["compare", str(blank), str(blank)]) == EXIT_CONFIG
+        assert "blank.csv: empty file" in capsys.readouterr().err
 
     def test_identical_rows_need_a_bandwidth(self, tmp_path, capsys):
         # every pooled distance is 0, so the median heuristic has no scale

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skipdiff import AnalyticEps, Latency, Perturbed, StateIndependent, VarianceRule
+from skipdiff import AnalyticEps, Latency, StateIndependent, VarianceRule
 from skipdiff.config import load_config, load_config_file, parse_kv_text
 from skipdiff.errors import ConfigError
 
@@ -65,11 +65,9 @@ class TestLoadConfig:
             load_config("mixture.means = 0 0\ndim = 3")
 
     def test_wrappers_compose(self):
-        cfg = load_config(
-            "denoiser.perturb_scale = 0.1\nlatency.eval_ms = 5\nlatency.overhead_ms = 1\n"
-        )
+        cfg = load_config("latency.eval_ms = 5\nlatency.overhead_ms = 1\n")
         assert isinstance(cfg.op.denoiser, Latency)
-        assert isinstance(cfg.op.denoiser.inner, Perturbed)
+        assert isinstance(cfg.op.denoiser.inner, AnalyticEps)
         assert cfg.op.denoiser.model.eval_time_ms == 5.0
         assert cfg.op.denoiser.model.dispatch_overhead_ms == 1.0
 

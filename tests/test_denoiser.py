@@ -11,7 +11,6 @@ from skipdiff import (
     GaussianMixture,
     Latency,
     LatencyModel,
-    Perturbed,
     StateIndependent,
     VirtualClock,
     build_sigma_grid,
@@ -212,32 +211,6 @@ class TestEvaluateWrappers:
         assert time.monotonic() - t0 < 0.040  # no real sleeping
         assert clock.elapsed_ms == 50.0
 
-    def test_perturbed_zero_scale(self, bimodal_1d, sched50):
-        base = AnalyticEps(bimodal_1d)
-        wrapped = Perturbed(base, 0.0)
-        x = np.array([0.4])
-        np.testing.assert_array_equal(
-            evaluate(wrapped, sched50, x, 7), evaluate(base, sched50, x, 7)
-        )
-
-    def test_perturbed_deterministic_and_bounded(self, std_normal_1d, sched50):
-        scale = 0.1
-        base = AnalyticEps(std_normal_1d)
-        wrapped = Perturbed(base, scale)
-        rng = np.random.default_rng(3)
-        worst = 0.0
-        x0 = rng.normal(0, 1, 1)
-        first = evaluate(wrapped, sched50, x0, 5)
-        np.testing.assert_array_equal(first, evaluate(wrapped, sched50, x0, 5))
-        for _ in range(10_000):
-            x = rng.normal(0, 1, 1)
-            t = int(rng.integers(1, 51))
-            dev = np.linalg.norm(
-                evaluate(wrapped, sched50, x, t) - evaluate(base, sched50, x, t)
-            )
-            worst = max(worst, dev)
-        assert 0 < worst <= scale * np.sqrt(1) * 5
-
     def test_state_independent_dispatch(self, sched50):
         d = StateIndependent(seed=5, dim=3)
         got = evaluate(d, sched50, np.zeros(3), 9)
@@ -295,8 +268,6 @@ def test_zero_weight_component_is_silent_and_inert(bimodal_1d, sched50):
 STACKED_DENOISERS = {
     "analytic": lambda gm: AnalyticEps(gm),
     "state-independent": lambda gm: StateIndependent(seed=4, dim=gm.dim),
-    "perturbed": lambda gm: Perturbed(AnalyticEps(gm), 0.1),
-    "perturbed-state-independent": lambda gm: Perturbed(StateIndependent(seed=4, dim=gm.dim), 0.1),
     "latency-counting": lambda gm: Counting(Latency(AnalyticEps(gm), LatencyModel(0.0))),
 }
 

@@ -1,3 +1,4 @@
+import math
 import threading
 import time
 
@@ -63,6 +64,17 @@ class TestPlanBlocks:
         p = plan_blocks(5, 1, Mode.CONSERVATIVE)
         assert p.blocks[-1][1] == 0
         assert sum(k + 1 for _, k in p.blocks) == 5
+
+    def test_round_laws(self):
+        # conservative: 2*ceil(T/(k+1)), one round fewer when the plan ends on a
+        # lone step, which no block can lend a step to at T = 1 or on one device
+        for T in range(1, 60):
+            for devices in range(1, 9):
+                lone = T % (devices + 1) == 1 and (T == 1 or devices == 1)
+                assert plan_blocks(T, devices, Mode.CONSERVATIVE).total_rounds == \
+                    2 * math.ceil(T / (devices + 1)) - lone
+                assert plan_blocks(T, devices, Mode.AGGRESSIVE).total_rounds == \
+                    1 + math.ceil(T / devices)
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("T", [1, 2, 3, 7, 8, 20, 49, 50])
@@ -143,7 +155,6 @@ class TestAccounting:
     @pytest.mark.parametrize("T", [8, 20, 50])
     @pytest.mark.parametrize("devices", [1, 2, 3, 4])
     def test_eval_and_round_laws(self, T, devices):
-        import math
         s = default_schedule(T)
         den = Counting(StateIndependent(seed=3, dim=1))
         stream = RngStream(seed=9)
