@@ -40,8 +40,8 @@ from .schedule import build_cosine, build_linear_beta, build_sigma_grid
 from .sequential import Operator
 from .transitions import VarianceRule
 
-# a sleep's deadline, now + latency, must stay below TIMEOUT_MAX; half leaves room for uptime
-_MAX_SLEEP_MS = threading.TIMEOUT_MAX / 2 * 1000.0
+# a latency no run could wait out: past half the longest timed wait, TIMEOUT_MAX (room for uptime)
+_MAX_LATENCY_MS = threading.TIMEOUT_MAX / 2 * 1000.0
 _SEED_KEYS = 2**48  # RngStream keys use the low 48 bits of a chain seed
 _MAX_DIM = np.iinfo(np.intp).max // 8  # the longest float64 vector numpy can size in bytes
 
@@ -54,7 +54,7 @@ KNOWN_KEYS = {
     "schedule.beta_end": ("0.4", "linear schedule end rate"),
     "schedule.offset": ("0.008", "cosine schedule offset"),
     "grid.N": ("32", "Euler steps"),
-    "grid.sigma_min": ("0.02", "smallest positive sigma"),
+    "grid.sigma_min": ("0.02", "sigma the spacing reaches at step N, where the grid puts 0"),
     "grid.sigma_max": ("10", "largest sigma"),
     "grid.rho": ("3", "grid spacing exponent"),
     "denoiser.kind": ("mixture", "mixture | state-independent"),
@@ -229,11 +229,14 @@ def _build(kv: dict, given: dict) -> RunConfig:
              "runs that set latency.eval_ms")
     if "latency.eval_ms" in kv:
         denoiser = Latency(denoiser, LatencyModel(*[
-            _number(kv, key, lo=0.0, hi=_MAX_SLEEP_MS)
+            _number(kv, key, lo=0.0, hi=_MAX_LATENCY_MS)
             for key in ("latency.eval_ms", "latency.overhead_ms") if key in kv]))
 
     if family == "euler" and mixture is None:
         raise ValueError("sampler.family=euler requires a mixture denoiser")
+    for key in ("output.samples", "output.report", "output.rounds"):
+        if kv.get(key) == "":
+            raise ValueError(f"{key}: expected a path, got an empty value")
     samples = _number(kv, "samples", int, 1, _SEED_KEYS)
     return RunConfig(
         raw=kv,

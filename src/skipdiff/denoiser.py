@@ -17,12 +17,6 @@ from .errors import DimensionMismatch, NonPositiveSigma, TimestepOutOfRange
 from .schedule import NoiseSchedule, SigmaGrid
 
 _STATE_INDEP_SALT = 0x51DE  # keeps state_independent_eps streams apart from RngStream keys
-# How long before its deadline a WallClock wait stops sleeping and polls the
-# clock instead. Over 400 charge(5) + wait() pairs on a 2-vCPU Linux VM
-# (Python 3.11), waits end 3.2-4.5 us late (median) with this margin and
-# 111-116 us late without it, and use 4.0-4.9% of a CPU instead of 0.9-1.1%;
-# 6.1-7.1% when each wait also rehearses a 1-D DDIM step.
-_POLL_S = 0.0003
 
 
 @dataclass(frozen=True)
@@ -185,25 +179,21 @@ class VirtualClock:
     def charge(self, ms: float):
         self.elapsed_ms += ms
 
-    def wait(self, rehearse=None):
-        """Simulated work is ready as soon as it is charged: no rehearsal."""
+    def wait(self):
+        """Simulated work is ready as soon as it is charged."""
 
 
 class WallClock:
     """Real time behind the VirtualClock interface: `charge(ms)` sets a ready
     deadline ms after dispatch (queued behind a deadline still ahead), and
-    host work before `wait` overlaps the device time. `wait` sleeps until
-    _POLL_S before the deadline and polls out the rest, as a GPU host's
-    hybrid block/spin synchronisation does: it returns at the deadline, not
-    an OS timer overshoot after it, and never before it. A wait whose
-    deadline is more than _POLL_S away also runs `rehearse()` before it
-    polls: a dry run of the host work after the wait, so that work starts
-    warm. Each rehearsal is timed and the next sleep ends that much earlier
-    (or is skipped), so one of steady cost ends before the deadline."""
+    host work before `wait` overlaps the device time. `wait` spins on the
+    clock until the deadline, as a GPU host under spin scheduling does: it
+    returns on the first reading at or past the deadline, never before it,
+    and the host never idles, so its caches stay warm. A run on this clock
+    keeps one core busy."""
 
     def __init__(self):
         self._origin = self._ready = time.monotonic()
-        self._rehearsal_s = 0.0
 
     @property
     def elapsed_ms(self) -> float:
@@ -212,14 +202,7 @@ class WallClock:
     def charge(self, ms: float):
         self._ready = max(self._ready, time.monotonic()) + ms / 1000.0
 
-    def wait(self, rehearse=None):
-        rest = self._ready - time.monotonic() - _POLL_S
-        if rest > 0:
-            time.sleep(max(rest - self._rehearsal_s, 0.0))
-            if rehearse is not None:
-                began = time.monotonic()
-                rehearse()
-                self._rehearsal_s = time.monotonic() - began
+    def wait(self):
         while time.monotonic() < self._ready:
             pass
 

@@ -93,16 +93,14 @@ def execute_round(
     pool=None,
     clock: VirtualClock | WallClock | None = None,
     meanwhile=None,
-    rehearse=None,
 ) -> tuple[list, RoundReport]:
     """Evaluate all (x, t) tasks in one round: one evaluate() call on this
     thread over the states stacked in task order (none if there are no
     tasks), which charges the round's simulated latency to `clock` (default:
     a new WallClock), `meanwhile()` during that device time, then the wait
-    on `clock`, which may call `rehearse()` just before its deadline.
-    Returns the predictions by task index and the round's report, timed
-    from dispatch to the end of the wait. `pool` is accepted and ignored,
-    because `perfbench/micro.py` passes one."""
+    on `clock`. Returns the predictions by task index and the round's
+    report, timed from dispatch to the end of the wait. `pool` is accepted
+    and ignored, because `perfbench/micro.py` passes one."""
     if len(tasks) > devices:
         raise InvalidPlanParams(f"{len(tasks)} tasks exceed {devices} devices")
     clock = clock or WallClock()
@@ -111,7 +109,7 @@ def execute_round(
                             np.array([t for _, t in tasks]), clock)) if tasks else []
     if meanwhile is not None:
         meanwhile()
-    clock.wait(rehearse)
+    clock.wait()
     return results, RoundReport(anchor_t, len(tasks), clock.elapsed_ms - t0)
 
 
@@ -145,16 +143,14 @@ def run_parallel(
 
     def round_(tasks, b):
         """Evaluate (x, position) tasks in one round of block b, deriving the
-        z needed before the next round meanwhile; predictions by position. The
-        first skip after the round, the unit step from task 0, is rehearsed.
+        z needed before the next round meanwhile; predictions by position.
         No tasks, no round."""
         if not tasks:
             return {}
         live = [(xx, i) for xx, i in tasks if op.predicts(i)]
         vals, report = execute_round(op.denoiser, op.levels, [(xx, op.level(i)) for xx, i in live],
                                      devices, anchor_t=op.labels[blocks[b][0]], clock=clock,
-                                     meanwhile=lambda: derive_through(b + 1),
-                                     rehearse=lambda: op.rehearse(tasks[0][1], tasks[0][0]))
+                                     meanwhile=lambda: derive_through(b + 1))
         reports.append(report)
         traj.eval_count += len(live)
         return {i: v for (_, i), v in zip(live, vals)}

@@ -86,7 +86,8 @@ def build_cosine(T: int, offset: float = 0.008) -> NoiseSchedule:
 
 
 def build_sigma_grid(N: int, sigma_min: float, sigma_max: float, rho: float = 7.0) -> SigmaGrid:
-    """rho-spaced sigma grid from sigma_max down to sigma_min, with a final 0 entry."""
+    """N + 1 levels: sigmas[i], i < N, rho-spaced from sigma_max toward sigma_min, which the
+    spacing would reach at i = N; sigmas[N] is 0 instead, so sigma_min is never a level."""
     if N < 1:
         raise InvalidScheduleParams(f"N must be >= 1, got {N}")
     if not (0.0 < sigma_min < sigma_max):

@@ -98,30 +98,20 @@ class Operator:
             raise ValueError(f"stream required for a stochastic {self.family} operator")
         return stream.derive(self.labels[i], Role.TRANSITION, shape)
 
-    def transition(self, i: int, k: int, x: np.ndarray, v: np.ndarray, z) -> np.ndarray:
-        """The family's jump from position i to i+k with the prediction v made at i."""
+    def skip(self, i: int, k: int, x: np.ndarray, v: np.ndarray, z) -> np.ndarray:
+        """The family's jump from position i to i+k with the prediction v made
+        at i. Every transition and draft of `sample` and `run_parallel` passes
+        here, so a non-finite state is caught where made."""
         t, u = self.labels[i], self.labels[i + k]
         if self.family == "euler":
-            return euler_skip(self.levels, self.level(i), t - u, x, v)
-        if self.family == "ddim":
-            return ddim_skip(self.levels, t, t - u, x, v, self.rule, z)
-        return ddpm_skip_sample(self.levels, t, t - u, x, predicted_x0(self.levels, x, v, t), z)
-
-    def skip(self, i: int, k: int, x: np.ndarray, v: np.ndarray, z) -> np.ndarray:
-        """`transition`, checked: every transition and draft of `sample` and
-        `run_parallel` passes here, so a non-finite state is caught where made."""
-        out = self.transition(i, k, x, v, z)
+            out = euler_skip(self.levels, self.level(i), t - u, x, v)
+        elif self.family == "ddim":
+            out = ddim_skip(self.levels, t, t - u, x, v, self.rule, z)
+        else:
+            out = ddpm_skip_sample(self.levels, t, t - u, x, predicted_x0(self.levels, x, v, t), z)
         if not np.isfinite(out).all():
-            t, u = self.labels[i], self.labels[i + k]
             raise NonFiniteState(f"{self.family} skip from t={t} to t={u} gave a non-finite state")
         return out
-
-    def rehearse(self, i: int, like: np.ndarray):
-        """Dry-run the unit step from position i (none from the last), finiteness
-        test included, on zeros shaped like `like`, to warm caches for the real one."""
-        if i < self.steps:
-            zero = np.zeros_like(like)
-            np.isfinite(self.transition(i, 1, zero, zero, zero if self.stochastic else None)).all()
 
 
 def sample(
@@ -144,7 +134,7 @@ def sample(
         v = evaluate(op.denoiser, op.levels, x, op.level(i), clock)
         traj.eval_count += 1
         z = op.noise(stream, i + 1, x.shape)
-        clock.wait(lambda: op.rehearse(i, x))
+        clock.wait()
         x = op.skip(i, 1, x, v, z)
         traj.states.append((op.labels[i + 1], x))
     traj.wall_ms = clock.elapsed_ms - start

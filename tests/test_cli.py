@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from skipdiff import (
     GaussianMixture,
     Mode,
-    Operator,
     VirtualClock,
     build_sigma_grid,
     cli,
@@ -213,23 +212,16 @@ class TestSample:
         "sampler.family = ddpm\n",
     ], ids=["ddim", "ddim-rule-ddpm", "ddpm"])
     @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
-    def test_wall_clock_rehearsals_change_no_sample(self, tmp_path, monkeypatch, sampler, mode):
-        # a wall-clock run rehearses in its waits; a virtual-clock run never does
+    def test_wall_and_virtual_clocks_sample_alike(self, tmp_path, monkeypatch, sampler, mode):
+        # the clock decides how long a run takes, never what it samples
         cfg = write_cfg(tmp_path, BIMODAL + sampler + (
             f"sampler.mode = {mode}\nsampler.devices = 3\nschedule.T = 12\nsamples = 2\n"
             f"latency.eval_ms = 1\noutput.samples = {tmp_path}/s.csv\n"))
-        rehearsals = []
-        real_rehearse = Operator.rehearse
-        monkeypatch.setattr(Operator, "rehearse",
-                            lambda op, i, like: rehearsals.append(i) or real_rehearse(op, i, like))
         assert main(["sample", "--config", cfg]) == EXIT_OK
         wall = (tmp_path / "s.csv").read_bytes()
-        assert rehearsals
         monkeypatch.setattr(cli, "_run_once",
                             functools.partial(cli._run_once, clock=VirtualClock()))
-        rehearsals.clear()
         assert main(["sample", "--config", cfg]) == EXIT_OK
-        assert rehearsals == []
         assert (tmp_path / "s.csv").read_bytes() == wall
 
 
@@ -264,7 +256,7 @@ BAD_INPUTS = {
                                   ["sample"]),
     # denoiser.perturb_scale is not a key, so it is rejected as unknown
     "perturb-scale-negative": (BIMODAL + "denoiser.perturb_scale = -0.5\n", ["sample"]),
-    # past threading.TIMEOUT_MAX time.sleep raises OverflowError or OSError
+    # past half of threading.TIMEOUT_MAX, a latency no run could wait out
     "latency-eval-too-long": (BIMODAL + "latency.eval_ms = 1e300\n", ["sample"]),
     "latency-overhead-too-long": (BIMODAL + "sampler.mode = aggressive\nlatency.eval_ms = 1\n"
                                   "latency.overhead_ms = 1e300\n", ["sample"]),
@@ -286,6 +278,10 @@ BAD_INPUTS = {
                            ["sample"]),
     "output-rounds-path": (BIMODAL + "schedule.T = 4\noutput.rounds = /dev/null/r.csv\n",
                            ["sample"]),
+    # an empty path would write nothing, without notice
+    "output-samples-empty": (BIMODAL + "output.samples =\n", ["sample"]),
+    "output-report-empty": (BIMODAL + "output.report =\n", ["sample"]),
+    "output-rounds-empty": (BIMODAL + "output.rounds =\n", ["sample"]),
     "bench-out-path": (BIMODAL + "latency.eval_ms = 1\nschedule.T = 4\n",
                        ["bench", "--devices", "2", "--out", "/dev/null/b.csv"]),
     "dump-schedule-out-path": (BIMODAL, ["dump-schedule", "--out", "/dev/null/d.csv"]),

@@ -317,120 +317,54 @@ def test_stacked_out_of_range_row_raises(bimodal_1d, sched50):
 
 class FakeTime:
     """Stands in for the time module inside skipdiff.denoiser: monotonic()
-    ticks 1 us per read; sleep(s) advances by s plus `overshoot` and records
-    (time of the call, s)."""
+    ticks 1 us per read and records each reading; sleep(s) records s."""
 
-    def __init__(self, overshoot):
-        self.now, self.overshoot, self.sleeps = 100.0, overshoot, []
+    def __init__(self):
+        self.now, self.reads, self.sleeps = 100.0, [], []
 
     def monotonic(self):
         self.now += 1e-6
+        self.reads.append(self.now)
         return self.now
 
     def sleep(self, s):
-        self.sleeps.append((self.now, s))
-        self.now += s + self.overshoot
+        self.sleeps.append(s)
+        self.now += s
 
 
 class TestWallClockWait:
-    """A wall-clock wait sleeps until _POLL_S before its deadline, polls out
-    the rest and never returns before the deadline."""
+    """A wall-clock wait spins on the clock: it never sleeps and returns on
+    the first reading at or past its deadline."""
 
-    @pytest.fixture(params=[1e-3, -1e-3], ids=["oversleep", "early-wake"])
-    def fake(self, request, monkeypatch):
-        fake = FakeTime(request.param)
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        fake = FakeTime()
         monkeypatch.setattr(denoiser, "time", fake)
         return fake
 
-    def _charge(self, clock, fake, ms, deadline=0.0):
-        """Charge ms; return the deadline the documented rule sets."""
-        clock.charge(ms)
-        return max(deadline, fake.now) + ms / 1000.0
-
     @pytest.mark.parametrize("charges", [[5.0], [5.0, 5.0], [5.0, 0.1]],
                              ids=["one", "queued", "queued-short"])
-    def test_sleeps_short_of_the_deadline_and_returns_at_it(self, fake, charges):
+    def test_spins_to_the_first_reading_at_the_deadline(self, fake, charges):
         clock = denoiser.WallClock()
         deadline = 0.0
         for ms in charges:
-            deadline = self._charge(clock, fake, ms, deadline)
+            clock.charge(ms)
+            # the documented rule: ms after dispatch, queued behind a deadline still ahead
+            deadline = max(deadline, fake.now) + ms / 1000.0
+        before = len(fake.reads)
         clock.wait()
-        assert len(fake.sleeps) == 1
-        at, s = fake.sleeps[0]
-        assert at + s <= deadline - denoiser._POLL_S + 1e-12
-        assert fake.now >= deadline  # the last clock reading, the one wait() returned on
+        *spun, last = fake.reads[before:]
+        assert fake.sleeps == []
+        assert spun and all(r < deadline for r in spun)
+        assert last >= deadline
 
-    @pytest.mark.parametrize("ms", [0.0, 0.1, 1000.0 * denoiser._POLL_S])
-    def test_no_sleep_within_the_margin(self, fake, ms):
+    def test_a_zero_charge_returns_at_once(self, fake):
         clock = denoiser.WallClock()
-        deadline = self._charge(clock, fake, ms)
+        clock.charge(0.0)
+        before = len(fake.reads)
         clock.wait()
         assert fake.sleeps == []
-        assert fake.now >= deadline
-
-    @pytest.mark.parametrize("charges", [[5.0], [5.0, 5.0]], ids=["one", "queued"])
-    @pytest.mark.parametrize("overshoot", [0.1e-3, -1e-3], ids=["late-in-margin", "early-wake"])
-    def test_rehearses_once_between_sleep_and_deadline(self, monkeypatch, charges, overshoot):
-        fake = FakeTime(overshoot)  # a wake inside the margin, so the deadline is still ahead
-        monkeypatch.setattr(denoiser, "time", fake)
-        clock = denoiser.WallClock()
-        deadline = 0.0
-        for ms in charges:
-            deadline = self._charge(clock, fake, ms, deadline)
-        rehearsals = []
-        clock.wait(lambda: rehearsals.append(fake.now))
-        (at, s), = fake.sleeps
-        assert len(rehearsals) == 1
-        assert at + s + overshoot <= rehearsals[0] < deadline
-        assert fake.now >= deadline
-
-    @pytest.mark.parametrize("ms", [0.0, 1000.0 * denoiser._POLL_S])
-    def test_no_rehearsal_without_a_sleep(self, fake, ms):
-        clock = denoiser.WallClock()
-        deadline = self._charge(clock, fake, ms)
-        rehearsals = []
-        clock.wait(lambda: rehearsals.append(fake.now))
-        assert fake.sleeps == [] and rehearsals == []
-        assert fake.now >= deadline
-
-    def test_next_sleep_leaves_room_for_the_rehearsal(self, fake):
-        clock = denoiser.WallClock()
-
-        def rehearse():
-            fake.now += 2e-3
-        deadline = self._charge(clock, fake, 5.0)
-        clock.wait(rehearse)
-        assert fake.now >= deadline
-        deadline = self._charge(clock, fake, 5.0, deadline)
-        clock.wait(rehearse)
-        at, s = fake.sleeps[-1]
-        assert len(fake.sleeps) == 2
-        assert at + s <= deadline - denoiser._POLL_S - 2e-3 + 1e-12
-        assert fake.now >= deadline
-
-    def test_a_slow_rehearsal_is_timed_again(self, fake):
-        # one rehearsal outlasts the next wait's whole sleep: that wait skips
-        # its sleep but still rehearses, so the budget follows the new timing
-        clock = denoiser.WallClock()
-        costs = iter([10e-3, 1e-4, 1e-4])
-
-        def rehearse():
-            fake.now += next(costs)
-        deadline = 0.0
-        for _ in range(3):
-            deadline = self._charge(clock, fake, 5.0, deadline)
-            clock.wait(rehearse)
-            assert fake.now >= deadline
-        assert next(costs, None) is None
-        assert [s for _, s in fake.sleeps][1] == 0.0
-        at, s = fake.sleeps[2]
-        assert at + s <= deadline - denoiser._POLL_S - 1e-4 + 1e-12
-
-    def test_virtual_clock_never_rehearses(self):
-        clock = VirtualClock()
-        clock.charge(5.0)
-        clock.wait(lambda: pytest.fail("a virtual clock rehearsed"))
-        assert clock.elapsed_ms == 5.0
+        assert len(fake.reads) == before + 1  # one reading, already at the deadline
 
     def test_real_waits_never_return_early(self):
         clock = denoiser.WallClock()
