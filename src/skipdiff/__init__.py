@@ -10,7 +10,6 @@ from .denoiser import (
     Counting,
     GaussianMixture,
     Latency,
-    LatencyModel,
     StateIndependent,
     VirtualClock,
     eps_oracle,

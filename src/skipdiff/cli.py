@@ -112,7 +112,7 @@ def cmd_sample(args) -> int:
 def cmd_bench(args) -> int:
     cfg = load_config_file(args.config)
     # config puts Latency outermost; at eval_ms = 0 a speedup would read 0 / 0
-    if not isinstance(cfg.op.denoiser, Latency) or cfg.op.denoiser.model.eval_time_ms == 0:
+    if not isinstance(cfg.op.denoiser, Latency) or cfg.op.denoiser.eval_ms == 0:
         raise ConfigError("bench requires a latency model with latency.eval_ms > 0")
     devices_list = _parse_list(args.devices, int, "--devices")
     if min(devices_list) < 1:
@@ -306,6 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("out", "json"):  # an absent flag is None: stdout, or no file
+            if getattr(args, flag, None) == "":
+                raise ConfigError(f"--{flag}: expected a path, got an empty value")
         with np.errstate(all="ignore"):  # outputs are checked: Operator.skip, probe, compare
             return args.fn(args)
     except SuiteNotFound as exc:

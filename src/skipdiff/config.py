@@ -28,13 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import (
-    AnalyticEps,
-    GaussianMixture,
-    Latency,
-    LatencyModel,
-    StateIndependent,
-)
+from .denoiser import AnalyticEps, GaussianMixture, Latency, StateIndependent
 from .errors import ConfigError, SkipDiffError
 from .schedule import build_cosine, build_linear_beta, build_sigma_grid
 from .sequential import Operator
@@ -63,7 +57,6 @@ KNOWN_KEYS = {
     "mixture.means": ("0 0", "component means (semicolon-separated vectors)"),
     "mixture.variances": ("1", "per-component isotropic variances (comma list)"),
     "latency.eval_ms": (None, "simulated per-evaluation latency"),
-    "latency.overhead_ms": (None, "simulated per-round dispatch overhead"),
     "sampler.family": ("ddim", "ddpm | ddim | euler"),
     "sampler.mode": ("sequential", "sequential | aggressive | conservative"),
     "sampler.devices": ("1", "parallel devices (block size k)"),
@@ -225,12 +218,8 @@ def _build(kv: dict, given: dict) -> RunConfig:
     else:
         raise ValueError(f"denoiser.kind: unknown kind {kind!r}")
 
-    _applies(given, "latency.overhead_ms", "latency.eval_ms" in given,
-             "runs that set latency.eval_ms")
     if "latency.eval_ms" in kv:
-        denoiser = Latency(denoiser, LatencyModel(*[
-            _number(kv, key, lo=0.0, hi=_MAX_LATENCY_MS)
-            for key in ("latency.eval_ms", "latency.overhead_ms") if key in kv]))
+        denoiser = Latency(denoiser, _number(kv, "latency.eval_ms", lo=0.0, hi=_MAX_LATENCY_MS))
 
     if family == "euler" and mixture is None:
         raise ValueError("sampler.family=euler requires a mixture denoiser")

@@ -151,21 +151,6 @@ def state_independent_eps(seed: int, t: int, dim: int) -> np.ndarray:
     return rng.standard_normal(dim)
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    """Simulated device time of one evaluation from its dispatch, plus the
-    dispatch overhead of a stacked call (one parallel round)."""
-
-    eval_time_ms: float
-    dispatch_overhead_ms: float = 0.0
-
-    def __post_init__(self):
-        if not (self.eval_time_ms >= 0 and np.isfinite(self.eval_time_ms)):
-            raise ValueError("eval_time_ms must be finite and >= 0")
-        if not (self.dispatch_overhead_ms >= 0 and np.isfinite(self.dispatch_overhead_ms)):
-            raise ValueError("dispatch_overhead_ms must be finite and >= 0")
-
-
 class VirtualClock:
     """Accumulates simulated milliseconds instead of sleeping.
 
@@ -224,10 +209,14 @@ class StateIndependent:
 
 @dataclass(frozen=True)
 class Latency:
-    """Transparent wrapper: identical values, computed inside eval_time_ms from dispatch."""
+    """Transparent wrapper: identical values, computed inside eval_ms from dispatch."""
 
     inner: "Denoiser"
-    model: LatencyModel
+    eval_ms: float
+
+    def __post_init__(self):
+        if not (self.eval_ms >= 0 and np.isfinite(self.eval_ms)):
+            raise ValueError("eval_ms must be finite and >= 0")
 
 
 class Counting:
@@ -259,13 +248,13 @@ def evaluate(
 
     t may also be a 1-D int array, one timestep per row of x: row j of the
     result is then bitwise evaluate(d, s, x[j], t[j]). Latency charges such
-    a stacked call (one parallel round) once: dispatch_overhead_ms, then
-    eval_time_ms. Counting counts its rows.
+    a stacked call (one parallel round) eval_ms once, as it does an unstacked
+    one. Counting counts its rows.
 
-    Latency charges eval_time_ms to `clock` (a VirtualClock in fast CI) and
+    Latency charges eval_ms to `clock` (a VirtualClock in fast CI) and
     returns without waiting, so the caller can overlap host work before
     clock.wait(); without one it waits on its own WallClock, as direct calls
-    should take eval_time_ms.
+    should take eval_ms.
     """
     if isinstance(d, AnalyticEps):
         if isinstance(s, SigmaGrid):
@@ -280,9 +269,7 @@ def evaluate(
     if isinstance(d, Latency):
         own = clock is None
         clock = WallClock() if own else clock
-        if not np.isscalar(t):
-            clock.charge(d.model.dispatch_overhead_ms)
-        clock.charge(d.model.eval_time_ms)
+        clock.charge(d.eval_ms)
         value = evaluate(d.inner, s, x, t, clock)
         if own:
             clock.wait()

@@ -26,7 +26,7 @@ class InvalidSkip(SkipDiffError):
 
 
 class VarianceTooLarge(SkipDiffError):
-    """Transition variance exceeds 1 - alpha_bar[t-k] (negative radicand)."""
+    """Transition std exceeds the DDPM-induced std of its skip."""
 
 
 class IndexOutOfRange(SkipDiffError):

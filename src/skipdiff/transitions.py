@@ -133,14 +133,14 @@ def ddpm_skip_sample(
 
 
 def _ddim_sigma(s: NoiseSchedule, t: int, k: int, rule: VarianceRule) -> tuple:
-    """Range-checked abar_t, abar_{t-k} (as floats) and sigma_{t,k} of a DDIM skip."""
+    """Range-checked abar_t, abar_{t-k} (as floats) and sigma_{t,k} of a DDIM skip.
+    sigma may not pass the DDPM-induced std, which bounds every eta <= 1 exactly;
+    at that bound 1 - abar_{t-k} - sigma^2 can round below 0, so callers clamp it."""
     _check_skip(s, t, k)
     a_t, a_s = float(s.alpha_bar[t]), float(s.alpha_bar[t - k])
     sigma = rule.sigma(s, t, k)
-    if 1.0 - a_s - sigma * sigma < 0.0:
-        raise VarianceTooLarge(
-            f"sigma^2={sigma * sigma} exceeds 1 - alpha_bar[{t - k}]={1.0 - a_s}"
-        )
+    if sigma > 0.0 and sigma > math.sqrt(_ddpm_skip_variance(s, t, k)):
+        raise VarianceTooLarge(f"sigma={sigma} exceeds the DDPM-induced std of {t} -> {t - k}")
     return a_t, a_s, sigma
 
 
@@ -149,7 +149,7 @@ def ddim_skip_coeffs(s: NoiseSchedule, t: int, k: int, rule: VarianceRule) -> Sk
     lambda + kappa sqrt(abar_t) = sqrt(abar_{t-k}) and
     kappa^2 (1-abar_t) + sigma^2 = 1 - abar_{t-k}."""
     a_t, a_s, sigma = _ddim_sigma(s, t, k, rule)
-    kappa = math.sqrt(1.0 - a_s - sigma * sigma) / math.sqrt(1.0 - a_t)
+    kappa = math.sqrt(max(0.0, 1.0 - a_s - sigma * sigma)) / math.sqrt(1.0 - a_t)
     lam = math.sqrt(a_s) - kappa * math.sqrt(a_t)
     return SkipCoeffs(kappa=kappa, lam=lam, sigma=sigma)
 
@@ -169,7 +169,8 @@ def ddim_skip(
         x0_hat  = (x_t - sqrt(1-abar_t) eps) / sqrt(abar_t).
     """
     _, a_s, sigma = _ddim_sigma(s, t, k, rule)
-    out = math.sqrt(a_s) * predicted_x0(s, x_t, eps, t) + math.sqrt(1.0 - a_s - sigma**2) * eps
+    keep = math.sqrt(max(0.0, 1.0 - a_s - sigma**2))
+    out = math.sqrt(a_s) * predicted_x0(s, x_t, eps, t) + keep * eps
     return _add_noise(out, sigma, z)
 
 

@@ -15,7 +15,6 @@ from skipdiff import (
     AnalyticEps,
     GaussianMixture,
     Latency,
-    LatencyModel,
     Mode,
     Operator,
     RngStream,
@@ -168,8 +167,7 @@ def test_05_speedup_laws(capsys):
     T, eval_ms = 48, 50.0
     s = default_schedule(T)
     gm = standard_normal_mixture(1)
-    den = Latency(AnalyticEps(gm), LatencyModel(eval_time_ms=eval_ms,
-                                                dispatch_overhead_ms=0.5))
+    den = Latency(AnalyticEps(gm), eval_ms)
     rule = VarianceRule.deterministic()
     stream = RngStream(seed=0)
     x_T = derive_noise(stream, T, Role.INIT, 1)

@@ -178,6 +178,18 @@ class TestSample:
             totals = json.loads((tmp_path / "r.json").read_text())["totals"]
             assert (totals["evals"], totals["rounds"]) == (evals, rounds)
 
+    @pytest.mark.parametrize("extra", [
+        "sampler.subsequence = 36, 1, 0\n",
+        "sampler.mode = aggressive\nsampler.devices = 40\n",
+    ], ids=["subsequence", "aggressive-40"])
+    def test_ddim_rule_ddpm_on_a_steep_schedule(self, tmp_path, extra):
+        # on this schedule sigma^2 at eta = 1 rounds one ulp past 1 - alpha_bar[t-k]
+        # on some skips, 36 -> 1 among them; the run is valid and must sample
+        cfg = write_cfg(tmp_path, BIMODAL + extra + (
+            "schedule.beta_start = 0.5\nschedule.beta_end = 0.999\n"
+            "sampler.family = ddim\nsampler.rule = ddpm\n"))
+        assert main(["sample", "--config", cfg]) == EXIT_OK
+
     @pytest.mark.parametrize("family, rule", [("ddpm", "ddpm"), ("euler", "deterministic")])
     @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
     def test_family_rule_changes_no_sample(self, tmp_path, family, rule, mode):
@@ -247,19 +259,17 @@ BAD_INPUTS = {
     "mixture-weights-nan": ("mixture.weights = nan, 0.5\nmixture.means = -2; 2\n"
                             "mixture.variances = 1, 1\n", ["sample"]),
     "eta-without-eta-rule": (BIMODAL + "sampler.eta = 0.3\n", ["sample"]),
-    "overhead-without-eval": (BIMODAL + "latency.overhead_ms = 1\n", ["sample"]),
     "mixture-key-state-independent": ("denoiser.kind = state-independent\ndim = 1\n"
                                       "mixture.weights = 1\n", ["sample"]),
     "denoiser-seed-mixture": (BIMODAL + "denoiser.seed = 3\n", ["sample"]),
     "latency-eval-negative": (BIMODAL + "latency.eval_ms = -1\n", ["sample"]),
+    # latency.overhead_ms is not a key, so it is rejected as unknown
     "latency-overhead-negative": (BIMODAL + "latency.eval_ms = 1\nlatency.overhead_ms = -1\n",
                                   ["sample"]),
     # denoiser.perturb_scale is not a key, so it is rejected as unknown
     "perturb-scale-negative": (BIMODAL + "denoiser.perturb_scale = -0.5\n", ["sample"]),
     # past half of threading.TIMEOUT_MAX, a latency no run could wait out
     "latency-eval-too-long": (BIMODAL + "latency.eval_ms = 1e300\n", ["sample"]),
-    "latency-overhead-too-long": (BIMODAL + "sampler.mode = aggressive\nlatency.eval_ms = 1\n"
-                                  "latency.overhead_ms = 1e300\n", ["sample"]),
     # RngStream keys hold 48 bits of a chain seed, the state-independent denoiser 32
     "seed-negative": (BIMODAL + "seed = -1\n", ["sample"]),
     "seed-past-key-range": (BIMODAL + "seed = 281474976710655\nsamples = 2\n", ["sample"]),
@@ -327,7 +337,7 @@ VALID_TOKENS = {  # one or two accepted values per key, so runs get past the fir
     "denoiser.kind": ["mixture", "state-independent"], "denoiser.seed": ["3"],
     "mixture.weights": ["0.5, 0.5"],
     "mixture.means": ["-2; 2", "-2 0; 2 0"], "mixture.variances": ["1, 1"],
-    "latency.eval_ms": ["0", "0.01"], "latency.overhead_ms": ["0", "0.01"],
+    "latency.eval_ms": ["0", "0.01"],
     "sampler.family": ["ddpm", "ddim", "euler"],
     "sampler.mode": ["sequential", "aggressive", "conservative"],
     "sampler.devices": ["2", "3"], "sampler.rule": ["deterministic", "ddpm", "eta"],
@@ -380,13 +390,21 @@ def test_fuzzed_config_never_raises(tmp_path_factory, text):
     ["compare", "{csv}", "{csv}", "--bandwidth", "-1"],
     ["compare", "{csv}", "{csv}", "--seed", "-1"],
     ["verify", "coeffs", "--json", "/dev/null/v.json"],
-], ids=["compare-projections", "compare-bandwidth", "compare-seed", "verify-json"])
+    # an empty path is no path: not stdout, and not "write no file"
+    ["dump-schedule", "--config", "{cfg}", "--out", ""],
+    ["bench", "--config", "{cfg}", "--out", ""],
+    ["verify", "coeffs", "--json", ""],
+], ids=["compare-projections", "compare-bandwidth", "compare-seed", "verify-json",
+        "dump-schedule-out-empty", "bench-out-empty", "verify-json-empty"])
 def test_bad_flag_exits_config(tmp_path, capsys, command):
     samples = tmp_path / "s.csv"
     samples.write_text("seed,dim0\n0,0.5\n1,-0.5\n2,1.5\n")
-    assert main([arg.format(csv=samples) for arg in command]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and command[-1] in err  # names the bad value or path
+    cfg = write_cfg(tmp_path, BIMODAL + "latency.eval_ms = 1\n")
+    assert main([arg.format(csv=samples, cfg=cfg) for arg in command]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (command[-1] or command[-2]) in err  # names the bad value or path, else the flag
+    assert command[-1] or out == ""  # an empty path prints nothing to stdout
 
 
 @pytest.mark.parametrize("command", [
@@ -691,12 +709,10 @@ class TestBench:
                         ["conservative", "2", "8.000", "1.5000", "8.000"],
                         ["conservative", "3", "6.000", "2.0000", "6.000"]]
 
-    @pytest.mark.parametrize("overhead_ms", [0, 1])
-    def test_speedups_are_the_round_laws(self, tmp_path, overhead_ms):
-        # README's run, T = 50: a stacked round costs overhead_ms + eval_ms, a
-        # sequential step eval_ms alone; two sweeps write the same bytes
-        cfg = write_cfg(tmp_path, BIMODAL + (
-            f"schedule.T = 50\nlatency.eval_ms = 50\nlatency.overhead_ms = {overhead_ms}\n"))
+    def test_speedups_are_the_round_laws(self, tmp_path):
+        # README's run, T = 50: a stacked round costs eval_ms, as a sequential
+        # step does; two sweeps write the same bytes
+        cfg = write_cfg(tmp_path, BIMODAL + "schedule.T = 50\nlatency.eval_ms = 50\n")
         outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for out in outs:
             assert main(["bench", "--config", cfg, "--devices", "2,3,4",
@@ -707,7 +723,6 @@ class TestBench:
         laws = [(mode, devices, plan_blocks(50, devices, Mode(mode)).total_rounds)
                 for mode in ("aggressive", "conservative") for devices in (2, 3, 4)]
         assert [r[:4] for r in rows] == [
-            [mode, str(devices), f"{rounds * (50 + overhead_ms):.3f}",
-             f"{50 * 50 / (rounds * (50 + overhead_ms)):.4f}"] for mode, devices, rounds in laws]
-        if overhead_ms == 0:
-            assert rows[2][3] == "3.5714"  # aggressive d=4: 50 steps in 14 rounds
+            [mode, str(devices), f"{rounds * 50:.3f}", f"{50 / rounds:.4f}"]
+            for mode, devices, rounds in laws]
+        assert rows[2][3] == "3.5714"  # aggressive d=4: 50 steps in 14 rounds

@@ -65,11 +65,10 @@ class TestLoadConfig:
             load_config("mixture.means = 0 0\ndim = 3")
 
     def test_wrappers_compose(self):
-        cfg = load_config("latency.eval_ms = 5\nlatency.overhead_ms = 1\n")
+        cfg = load_config("latency.eval_ms = 5\n")
         assert isinstance(cfg.op.denoiser, Latency)
         assert isinstance(cfg.op.denoiser.inner, AnalyticEps)
-        assert cfg.op.denoiser.model.eval_time_ms == 5.0
-        assert cfg.op.denoiser.model.dispatch_overhead_ms == 1.0
+        assert cfg.op.denoiser.eval_ms == 5.0
 
     def test_rules(self):
         assert load_config("sampler.rule = ddpm").op.rule == VarianceRule.ddpm_induced()

@@ -10,7 +10,6 @@ from skipdiff import (
     Counting,
     GaussianMixture,
     Latency,
-    LatencyModel,
     StateIndependent,
     VirtualClock,
     build_sigma_grid,
@@ -182,7 +181,7 @@ class TestEvaluateWrappers:
     def test_latency_transparency_and_timing(self, bimodal_1d, sched50):
         x = np.array([0.4])
         base = AnalyticEps(bimodal_1d)
-        wrapped = Latency(base, LatencyModel(eval_time_ms=50.0))
+        wrapped = Latency(base, 50.0)
         t0 = time.monotonic()
         got = evaluate(wrapped, sched50, x, 7)
         elapsed = time.monotonic() - t0
@@ -198,13 +197,18 @@ class TestEvaluateWrappers:
             time.sleep(0.040)
             return real(*args)
         monkeypatch.setattr(denoiser, "eps_oracle", slow)
-        wrapped = Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=60.0))
+        wrapped = Latency(AnalyticEps(bimodal_1d), 60.0)
         t0 = time.monotonic()
         evaluate(wrapped, sched50, np.array([0.4]), 7)
         assert 0.060 <= time.monotonic() - t0 < 0.100
 
+    @pytest.mark.parametrize("eval_ms", [-1.0, float("nan"), float("inf")])
+    def test_latency_must_be_finite_and_non_negative(self, bimodal_1d, eval_ms):
+        with pytest.raises(ValueError, match="eval_ms must be finite and >= 0"):
+            Latency(AnalyticEps(bimodal_1d), eval_ms)
+
     def test_latency_virtual_clock(self, bimodal_1d, sched50):
-        wrapped = Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=50.0))
+        wrapped = Latency(AnalyticEps(bimodal_1d), 50.0)
         clock = VirtualClock()
         t0 = time.monotonic()
         evaluate(wrapped, sched50, np.array([0.4]), 7, clock)
@@ -268,7 +272,7 @@ def test_zero_weight_component_is_silent_and_inert(bimodal_1d, sched50):
 STACKED_DENOISERS = {
     "analytic": lambda gm: AnalyticEps(gm),
     "state-independent": lambda gm: StateIndependent(seed=4, dim=gm.dim),
-    "latency-counting": lambda gm: Counting(Latency(AnalyticEps(gm), LatencyModel(0.0))),
+    "latency-counting": lambda gm: Counting(Latency(AnalyticEps(gm), 0.0)),
 }
 
 
@@ -293,7 +297,7 @@ def test_stacked_rows_equal_one_row_calls(sched50, kind, levels, dim, comps, row
 
 
 def test_stacked_call_counts_rows_and_charges_once(bimodal_1d, sched50):
-    d = Counting(Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=5.0)))
+    d = Counting(Latency(AnalyticEps(bimodal_1d), 5.0))
     clock = VirtualClock()
     evaluate(d, sched50, np.zeros((3, 1)), np.array([9, 8, 7]), clock)
     assert d.count == 3

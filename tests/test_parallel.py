@@ -9,7 +9,6 @@ from skipdiff import (
     AnalyticEps,
     Counting,
     Latency,
-    LatencyModel,
     Mode,
     Operator,
     RngStream,
@@ -18,6 +17,7 @@ from skipdiff import (
     StateIndependent,
     VarianceRule,
     VirtualClock,
+    build_linear_beta,
     build_sigma_grid,
     default_schedule,
     execute_round,
@@ -193,12 +193,12 @@ class TestExecuteRound:
         assert report.parallel_evals == 3
 
     def test_virtual_clock_round(self, sched50, bimodal_1d):
-        den = Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=40.0, dispatch_overhead_ms=2.0))
+        den = Latency(AnalyticEps(bimodal_1d), 40.0)
         clock = VirtualClock()
         tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
         _, report = execute_round(den, sched50, tasks, 3, anchor_t=9, clock=clock)
-        assert report.round_wall_ms == 42.0
-        assert clock.elapsed_ms == 42.0
+        assert report.round_wall_ms == 40.0
+        assert clock.elapsed_ms == 40.0
 
     def test_too_many_tasks(self, sched50):
         den = StateIndependent(seed=2, dim=1)
@@ -342,7 +342,7 @@ class TestParallelEulerWrapperStack:
     @pytest.mark.parametrize("mode, rounds", [(Mode.AGGRESSIVE, 5), (Mode.CONSERVATIVE, 8)])
     def test_virtual_clock_round_law(self, grid, bimodal_1d, mode, rounds):
         eval_ms = 50.0
-        op = Operator("euler", Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_ms)), grid)
+        op = Operator("euler", Latency(AnalyticEps(bimodal_1d), eval_ms), grid)
         x0 = np.array([1.5])
         seq = sample(op, x0, None, VirtualClock())
         traj, reports = run_parallel(op, x0, 4, mode, None, clock=VirtualClock())
@@ -383,7 +383,7 @@ class TestSpeedupVirtualClock:
     def test_aggressive_wall(self):
         T, devices, eval_ms = 48, 3, 50.0
         s = default_schedule(T)
-        den = Latency(StateIndependent(seed=1, dim=1), LatencyModel(eval_time_ms=eval_ms))
+        den = Latency(StateIndependent(seed=1, dim=1), eval_ms)
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
@@ -394,7 +394,7 @@ class TestSpeedupVirtualClock:
     def test_conservative_wall(self):
         T, devices, eval_ms = 48, 3, 50.0
         s = default_schedule(T)
-        den = Latency(StateIndependent(seed=1, dim=1), LatencyModel(eval_time_ms=eval_ms))
+        den = Latency(StateIndependent(seed=1, dim=1), eval_ms)
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
@@ -405,7 +405,7 @@ class TestSpeedupVirtualClock:
     def test_sequential_wall(self):
         T, eval_ms = 48, 50.0
         s = default_schedule(T)
-        den = Latency(StateIndependent(seed=1, dim=1), LatencyModel(eval_time_ms=eval_ms))
+        den = Latency(StateIndependent(seed=1, dim=1), eval_ms)
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
@@ -415,23 +415,22 @@ class TestSpeedupVirtualClock:
 
 
 class TestOverheadVirtualClock:
-    """A stacked call (one parallel round) costs dispatch_overhead_ms plus
-    eval_time_ms, a sequential step eval_time_ms alone, and a round that
-    dispatches nothing costs nothing: Euler's last aggressive round at
-    N = 17 on 4 devices holds only the sigma = 0 draft."""
+    """A stacked call (one parallel round) costs eval_ms, as a sequential
+    step does, and a round that dispatches nothing costs nothing: Euler's
+    last aggressive round at N = 17 on 4 devices holds only the sigma = 0
+    draft."""
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("family, T, devices", [
         ("ddim", 20, 3), ("ddpm", 20, 3), ("euler", 16, 4), ("euler", 17, 4)])
     def test_run_wall(self, bimodal_1d, family, T, devices, mode):
-        eval_ms, overhead_ms = 5.0, 0.75
+        eval_ms = 5.0
         levels = build_sigma_grid(T, 0.02, 20, 7) if family == "euler" else default_schedule(T)
-        op = Operator(family, Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_ms, overhead_ms)),
-                      levels)
+        op = Operator(family, Latency(AnalyticEps(bimodal_1d), eval_ms), levels)
         x, stream = np.array([1.5]), RngStream(seed=4)
         assert sample(op, x, stream, VirtualClock()).wall_ms == T * eval_ms
         traj, reports = run_parallel(op, x, devices, mode, stream, clock=VirtualClock())
-        walls = [overhead_ms + eval_ms if r.parallel_evals else 0.0 for r in reports]
+        walls = [eval_ms if r.parallel_evals else 0.0 for r in reports]
         assert [r.round_wall_ms for r in reports] == walls
         assert traj.wall_ms == sum(walls)
 
@@ -460,7 +459,7 @@ class TestWallClockOverlap:
             return real_skip(op, i, k, x, v, z)
         monkeypatch.setattr(module, "evaluate", recording_evaluate)
         monkeypatch.setattr(Operator, "skip", recording_skip)
-        den = Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=eval_ms))
+        den = Latency(AnalyticEps(bimodal_1d), eval_ms)
         op = Operator("ddpm", den, default_schedule(6))  # stochastic: noise is derived ahead
         if mode == "sequential":
             sample(op, np.array([0.3]), RngStream(seed=3))
@@ -501,7 +500,7 @@ class TestStackedRounds:
     def test_round_sleeps_once(self, sched50, bimodal_1d):
         # three drafts, one 40 ms latency: the round costs one evaluation, not
         # three (the upper bound leaves room for the host's sleep resolution)
-        den = Latency(AnalyticEps(bimodal_1d), LatencyModel(eval_time_ms=40.0))
+        den = Latency(AnalyticEps(bimodal_1d), 40.0)
         tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
         _, report = execute_round(den, sched50, tasks, 3, anchor_t=9)
         assert 40.0 <= report.round_wall_ms < 80.0
@@ -598,3 +597,29 @@ class TestNoiseDraws:
         with pytest.raises(ValueError, match="stream required for a stochastic ddpm operator"):
             run_parallel(op, np.array([0.3]), 2, mode, None, clock=VirtualClock())
 
+
+
+class TestDdpmRuleAgreement:
+    """DDIM with rule = ddpm samples what the DDPM family samples: the same
+    noise into each state, through a formula that agrees to rounding, not bit
+    for bit. The steep schedule rounds sigma^2 past 1 - abar_{t-k} on some
+    skips."""
+
+    @pytest.mark.parametrize("labels", [None, (50, 25, 1, 0)], ids=["all", "subsequence"])
+    @pytest.mark.parametrize("schedule", ["default", "steep"])
+    def test_final_states_agree(self, bimodal_1d, schedule, labels):
+        s = default_schedule(50) if schedule == "default" else build_linear_beta(50, 0.5, 0.999)
+        ops = [Operator("ddpm", AnalyticEps(bimodal_1d), s, labels),
+               Operator("ddim", AnalyticEps(bimodal_1d), s, labels, VarianceRule.ddpm_induced())]
+
+        def finals(op, x, stream):
+            """Final states of sample, then of each mode on 2, 4 and 40 devices."""
+            return [sample(op, x, stream, VirtualClock()).final] + [
+                run_parallel(op, x, devices, mode, stream, clock=VirtualClock())[0].final
+                for mode in Mode for devices in (2, 4, 40)]
+
+        for seed in range(4):
+            stream = RngStream(seed=seed)
+            x = derive_noise(stream, 50, Role.INIT, 1)
+            for ddpm, ddim in zip(*(finals(op, x, stream) for op in ops)):
+                assert abs(ddim - ddpm).max() <= 1e-9 * abs(ddpm).max()

@@ -125,6 +125,19 @@ class TestDdimCoeffs:
         assert half.sigma == pytest.approx(full.sigma / 2, rel=1e-15)
         assert zero.sigma == 0.0
 
+    def test_every_eta_one_skip_is_in_range(self):
+        # sigma^2 at eta = 1 rounds one ulp past 1 - abar_{t-k} on 92 of these
+        # 1275 skips; every one must still run and meet both constraints
+        s, rule = build_linear_beta(50, 0.5, 0.999), VarianceRule.ddpm_induced()
+        for t in range(1, s.T + 1):
+            for k in range(1, t + 1):
+                c = ddim_skip_coeffs(s, t, k, rule)
+                a_t, a_s = s.alpha_bar[t], s.alpha_bar[t - k]
+                assert abs(c.lam + c.kappa * math.sqrt(a_t) - math.sqrt(a_s)) <= 1e-10
+                assert abs(c.kappa**2 * (1 - a_t) + c.sigma**2 - (1 - a_s)) <= 1e-10
+                x = ddim_skip(s, t, k, np.array([1.0]), np.array([0.3]), rule, np.array([0.2]))
+                assert np.isfinite(x).all()
+
     def test_variance_too_large(self):
         # a rule whose sigma exceeds the marginal std must be rejected
         class Huge(VarianceRule):
