@@ -7,7 +7,6 @@ sqrt(1 - alpha_bar) eps), with alpha_bar[0] = 1.
 
 from .denoiser import (
     AnalyticEps,
-    Counting,
     GaussianMixture,
     Latency,
     StateIndependent,

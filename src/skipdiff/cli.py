@@ -117,10 +117,6 @@ def cmd_bench(args) -> int:
     devices_list = _parse_list(args.devices, int, "--devices")
     if min(devices_list) < 1:
         raise ConfigError("--devices must be >= 1")
-    modes = args.modes.split(",")
-    for m in modes:
-        if m not in ("aggressive", "conservative"):
-            raise ConfigError(f"unknown bench mode {m!r}")
 
     def wall(mode, devices):
         """The simulated latency of one run, summed on a virtual clock."""
@@ -129,7 +125,7 @@ def cmd_bench(args) -> int:
 
     seq_ms = wall("sequential", 1)
     rows = [("sequential", 1, seq_ms, 1.0, seq_ms)]
-    for mode in modes:
+    for mode in ("aggressive", "conservative"):
         for devices in devices_list:
             ms = wall(mode, devices)
             bound = seq_ms / devices if mode == "aggressive" else seq_ms * 2 / (devices + 1)
@@ -168,8 +164,6 @@ def _read_samples_csv(path: str) -> np.ndarray:
     if rows[0][0].strip().lower() == "seed":
         start_col = 1
         rows = rows[1:]
-    elif not _is_float(rows[0][0]):
-        rows = rows[1:]  # some other header
     try:
         data = np.array([[float(v) for v in row[start_col:]] for row in rows])
     except (ValueError, IndexError) as exc:
@@ -188,14 +182,6 @@ def _parse_list(text: str, kind, flag: str) -> list:
         return [kind(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"{flag}: expected a comma-separated list, got {text!r}") from None
-
-
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 def cmd_compare(args) -> int:
@@ -273,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp = sub.add_parser("bench", help="simulated-latency sweep over modes and device counts")
     bp.add_argument("--config", required=True)
     bp.add_argument("--devices", default="2,3,4", help="comma list of device counts")
-    bp.add_argument("--modes", default="aggressive,conservative")
     bp.add_argument("--out", default=None, help="CSV output path (default stdout)")
     bp.set_defaults(fn=cmd_bench)
 

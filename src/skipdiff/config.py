@@ -179,7 +179,7 @@ def _build(kv: dict, given: dict) -> RunConfig:
         raise ValueError(f"sampler.mode: unknown mode {mode!r}")
 
     rules = {"deterministic": VarianceRule.deterministic(), "ddpm": VarianceRule.ddpm_induced(),
-             "eta": VarianceRule.eta_scaled(_number(kv, "sampler.eta"))}
+             "eta": VarianceRule(_number(kv, "sampler.eta"))}
     rule = rules.get(kv["sampler.rule"])
     if rule is None:
         raise ValueError(f"sampler.rule: unknown rule {kv['sampler.rule']!r}")

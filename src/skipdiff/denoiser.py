@@ -1,4 +1,4 @@
-"""Noise-prediction denoisers: exact Gaussian-mixture oracles plus test wrappers.
+"""Noise-prediction denoisers: exact Gaussian-mixture oracles plus a latency wrapper.
 
 The analytic oracles stand in for a pretrained network, so every downstream
 claim about the samplers can be checked against closed forms. All denoisers
@@ -219,17 +219,7 @@ class Latency:
             raise ValueError("eval_ms must be finite and >= 0")
 
 
-class Counting:
-    """Instrumentation wrapper counting evaluated rows: one per row of a
-    stacked call, one per unstacked call. The single mutable denoiser; counts
-    are advisory and never affect returned values."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.count = 0
-
-
-Denoiser = AnalyticEps | StateIndependent | Latency | Counting
+Denoiser = AnalyticEps | StateIndependent | Latency
 
 
 def evaluate(
@@ -249,7 +239,7 @@ def evaluate(
     t may also be a 1-D int array, one timestep per row of x: row j of the
     result is then bitwise evaluate(d, s, x[j], t[j]). Latency charges such
     a stacked call (one parallel round) eval_ms once, as it does an unstacked
-    one. Counting counts its rows.
+    one.
 
     Latency charges eval_ms to `clock` (a VirtualClock in fast CI) and
     returns without waiting, so the caller can overlap host work before
@@ -274,8 +264,5 @@ def evaluate(
         if own:
             clock.wait()
         return value
-    if isinstance(d, Counting):
-        d.count += 1 if np.isscalar(t) else len(t)
-        return evaluate(d.inner, s, x, t, clock)
     raise TypeError(f"unknown denoiser kind: {type(d).__name__}")
 

@@ -44,10 +44,6 @@ class VarianceRule:
     def ddpm_induced(cls):
         return cls(1.0)
 
-    @classmethod
-    def eta_scaled(cls, eta: float):
-        return cls(eta)
-
     @property
     def stochastic(self) -> bool:
         return self.eta > 0.0

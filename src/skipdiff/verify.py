@@ -103,7 +103,7 @@ def suite_coeffs():
         rule = [
             VarianceRule.deterministic(),
             VarianceRule.ddpm_induced(),
-            VarianceRule.eta_scaled(float(rng.uniform(0, 1))),
+            VarianceRule(float(rng.uniform(0, 1))),
         ][rng.integers(3)]
         c = ddim_skip_coeffs(s, t, k, rule)
         a_t, a_s = s.alpha_bar[t], s.alpha_bar[t - k]

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,21 @@ def bimodal_2d():
         means=np.array([[-2.0, 0.0], [2.0, 0.0]]),
         variances=[1.0, 1.0],
     )
+
+
+@pytest.fixture
+def round_calls(monkeypatch):
+    """The (thread, x shape, rows) of each later parallel round, in order: the
+    stand-in for the scheduler's evaluate() records its call and calls the
+    real evaluate()."""
+    calls = []
+    real = parallel.evaluate
+
+    def recording(d, s, x, t, clock=None):
+        calls.append((threading.get_ident(), np.shape(x), np.size(t)))
+        return real(d, s, x, t, clock)
+    monkeypatch.setattr(parallel, "evaluate", recording)
+    return calls
 
 
 @pytest.fixture

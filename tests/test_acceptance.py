@@ -150,7 +150,7 @@ def test_04_coefficient_constraints(capsys):
         t = int(rng.integers(1, s.T + 1))
         k = int(rng.integers(1, t + 1))
         rule = [VarianceRule.deterministic(), VarianceRule.ddpm_induced(),
-                VarianceRule.eta_scaled(float(rng.uniform(0, 1)))][rng.integers(3)]
+                VarianceRule(float(rng.uniform(0, 1)))][rng.integers(3)]
         c = ddim_skip_coeffs(s, t, k, rule)
         a_t, a_s = s.alpha_bar[t], s.alpha_bar[t - k]
         worst = max(worst,
@@ -186,9 +186,10 @@ def test_05_speedup_laws(capsys):
 
     fails, details = [], []
     for devices in (2, 3, 4):
+        lone = T % (devices + 1) == 1 and (T == 1 or devices == 1)  # the plan ends on a lone step
         for label, mode, rounds in (
             ("aggressive", Mode.AGGRESSIVE, 1 + math.ceil(T / devices)),
-            ("conservative", Mode.CONSERVATIVE, 2 * math.ceil(T / (devices + 1))),
+            ("conservative", Mode.CONSERVATIVE, 2 * math.ceil(T / (devices + 1)) - lone),
         ):
             par_ms = timed(lambda: run_parallel(op, x_T, devices, mode, stream))
             speedup = seq_ms / par_ms
@@ -247,8 +248,9 @@ def test_07_euler_convergence(capsys):
 
 
 def test_08_accounting_laws(capsys):
-    """Eval counts T+1 / T and round counts 1+ceil(T/d) / 2 ceil(T/(d+1))
-    hold exactly over the full grid."""
+    """Eval counts T+1 / T and round counts 1+ceil(T/d) / 2 ceil(T/(d+1)),
+    less one round when the conservative plan ends on a lone step, hold
+    exactly over the full grid."""
     fails = []
     for T in (8, 20, 50):
         s = default_schedule(T)
@@ -257,11 +259,12 @@ def test_08_accounting_laws(capsys):
         x_T = derive_noise(stream, T, Role.INIT, 1)
         op = Operator("ddim", den, s, rule=VarianceRule.deterministic())
         for devices in (1, 2, 3, 4):
+            lone = T % (devices + 1) == 1 and (T == 1 or devices == 1)  # the plan ends on a lone step
             ta, ra = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream)
             tc, rc = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream)
             if not (ta.eval_count == T + 1 and tc.eval_count == T
                     and len(ra) == 1 + math.ceil(T / devices)
-                    and len(rc) == 2 * math.ceil(T / (devices + 1))):
+                    and len(rc) == 2 * math.ceil(T / (devices + 1)) - lone):
                 fails.append((T, devices))
     _report(capsys, "accounting laws (evals and rounds on the full grid)",
             not fails, f"failures={fails}" if fails else "12 configurations x 2 modes")

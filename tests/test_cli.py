@@ -250,8 +250,6 @@ BAD_INPUTS = {
                     ["probe", "--x", "nan,0", "--t", "1"]),
     "bench-devices": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--devices", "a"]),
     "bench-devices-zero": (BIMODAL + "latency.eval_ms = 1\n", ["bench", "--devices", "0"]),
-    "bench-mode-sequential": (BIMODAL + "latency.eval_ms = 1\n",
-                              ["bench", "--modes", "sequential"]),
     # with no simulated latency every speedup would read 0 / 0
     "bench-eval-zero": (BIMODAL + "latency.eval_ms = 0\n", ["bench"]),
     "recompute-anchor-typo": (BIMODAL + "sampler.mode = aggressive\n"
@@ -517,12 +515,18 @@ class TestCompare:
         assert result["sliced_w2"] == pytest.approx(4.0, rel=1e-6)
         assert result["mmd"] > 0.1
 
-    def test_malformed_csv(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, width", [
+        ("seed,dim0\n0,not-a-number\n", 1),
+        # a first row that is neither a seed header nor numbers is not skipped
+        ("x,y\n1.0,2.0\n3.0,4.0\n", 2),
+    ], ids=["bad-value", "unknown-header"])
+    def test_malformed_csv(self, tmp_path, capsys, text, width):
         bad = tmp_path / "bad.csv"
-        bad.write_text("seed,dim0\n0,not-a-number\n")
+        bad.write_text(text)
         good = tmp_path / "good.csv"
-        self._write_samples(good, np.zeros((3, 1)))
+        self._write_samples(good, np.zeros((3, width)))
         assert main(["compare", str(bad), str(good)]) == EXIT_CONFIG
+        assert "bad.csv" in capsys.readouterr().err
 
     def test_undecodable_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

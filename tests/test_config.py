@@ -72,7 +72,7 @@ class TestLoadConfig:
 
     def test_rules(self):
         assert load_config("sampler.rule = ddpm").op.rule == VarianceRule.ddpm_induced()
-        assert load_config("sampler.rule = eta\nsampler.eta = 0.3").op.rule == VarianceRule.eta_scaled(0.3)
+        assert load_config("sampler.rule = eta\nsampler.eta = 0.3").op.rule == VarianceRule(0.3)
         with pytest.raises(ConfigError):
             load_config("sampler.rule = eta\nsampler.eta = 1.5")
         with pytest.raises(ConfigError):

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from skipdiff import (
     AnalyticEps,
-    Counting,
     GaussianMixture,
     Latency,
     StateIndependent,
@@ -272,7 +271,7 @@ def test_zero_weight_component_is_silent_and_inert(bimodal_1d, sched50):
 STACKED_DENOISERS = {
     "analytic": lambda gm: AnalyticEps(gm),
     "state-independent": lambda gm: StateIndependent(seed=4, dim=gm.dim),
-    "latency-counting": lambda gm: Counting(Latency(AnalyticEps(gm), 0.0)),
+    "latency": lambda gm: Latency(AnalyticEps(gm), 0.0),
 }
 
 
@@ -297,13 +296,12 @@ def test_stacked_rows_equal_one_row_calls(sched50, kind, levels, dim, comps, row
 
 
 def test_stacked_call_counts_rows_and_charges_once(bimodal_1d, sched50):
-    d = Counting(Latency(AnalyticEps(bimodal_1d), 5.0))
+    d = Latency(AnalyticEps(bimodal_1d), 5.0)
     clock = VirtualClock()
-    evaluate(d, sched50, np.zeros((3, 1)), np.array([9, 8, 7]), clock)
-    assert d.count == 3
+    assert evaluate(d, sched50, np.zeros((3, 1)), np.array([9, 8, 7]), clock).shape == (3, 1)
     assert clock.elapsed_ms == 5.0
     evaluate(d, sched50, np.zeros((2, 1)), 9, clock)  # a batch at one timestep is one eval
-    assert d.count == 4
+    assert clock.elapsed_ms == 10.0
 
 
 def test_stacked_out_of_range_row_raises(bimodal_1d, sched50):

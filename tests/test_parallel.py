@@ -7,7 +7,6 @@ import pytest
 
 from skipdiff import (
     AnalyticEps,
-    Counting,
     Latency,
     Mode,
     Operator,
@@ -154,19 +153,17 @@ class TestEquivalence:
 class TestAccounting:
     @pytest.mark.parametrize("T", [8, 20, 50])
     @pytest.mark.parametrize("devices", [1, 2, 3, 4])
-    def test_eval_and_round_laws(self, T, devices):
+    def test_eval_and_round_laws(self, T, devices, round_calls):
         s = default_schedule(T)
-        den = Counting(StateIndependent(seed=3, dim=1))
         stream = RngStream(seed=9)
         x_T = derive_noise(stream, T, Role.INIT, 1)
-        op = Operator("ddim", den, s, rule=VarianceRule.deterministic())
-        den.count = 0
+        op = Operator("ddim", StateIndependent(seed=3, dim=1), s, rule=VarianceRule.deterministic())
         ta, ra = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream)
-        assert den.count == ta.eval_count == T + 1
+        assert sum(rows for _, _, rows in round_calls) == ta.eval_count == T + 1
         assert len(ra) == 1 + math.ceil(T / devices)
-        den.count = 0
+        round_calls.clear()
         tc, rc = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream)
-        assert den.count == tc.eval_count == T
+        assert sum(rows for _, _, rows in round_calls) == tc.eval_count == T
         lone = T % (devices + 1) == 1 and (T == 1 or devices == 1)  # the plan ends on a lone step
         assert len(rc) == 2 * math.ceil(T / (devices + 1)) - lone
 
@@ -259,7 +256,7 @@ class TestFidelity:
         # exactly (every skip is a unit step and every eps is evaluated at the
         # refined state), for every rule; odd T ends in a degenerate block
         rules = {"deterministic": VarianceRule.deterministic(),
-                 "ddpm": VarianceRule.ddpm_induced(), "eta": VarianceRule.eta_scaled(0.5)}
+                 "ddpm": VarianceRule.ddpm_induced(), "eta": VarianceRule(0.5)}
         cases = [("ddim", rule) for rule in rules] + [("ddpm", "ddpm")]
         for T in (50, 49):
             for family, rule in cases:
@@ -359,10 +356,10 @@ class TestParallelEulerWrapperStack:
             assert _ident(traj, ref)
 
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_sigma_zero_task_not_dispatched(self, grid, bimodal_1d, mode):
-        den = Counting(AnalyticEps(bimodal_1d))
-        traj, reports = run_parallel(Operator("euler", den, grid), np.array([1.5]), 4, mode, None)
-        assert den.count == traj.eval_count == 16
+    def test_sigma_zero_task_not_dispatched(self, grid, bimodal_1d, mode, round_calls):
+        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
+        traj, reports = run_parallel(op, np.array([1.5]), 4, mode, None)
+        assert sum(rows for _, _, rows in round_calls) == traj.eval_count == 16
         assert sum(r.parallel_evals for r in reports) == 16
 
     @pytest.mark.parametrize("devices", [1, 2, 3, 4])
@@ -471,31 +468,18 @@ class TestWallClockOverlap:
 class TestStackedRounds:
     """A round is one stacked evaluate() call on the scheduler thread."""
 
-    @staticmethod
-    def _record(monkeypatch):
-        """Record (thread, x shape, rows) for each evaluate() the scheduler makes."""
-        calls = []
-        real = parallel.evaluate
-
-        def recording(d, s, x, t, clock=None):
-            calls.append((threading.get_ident(), np.shape(x), np.size(t)))
-            return real(d, s, x, t, clock)
-        monkeypatch.setattr(parallel, "evaluate", recording)
-        return calls
-
     @pytest.mark.parametrize("clock", [None, VirtualClock], ids=["default", "virtual-clock"])
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_one_call_per_round_on_calling_thread(self, sched50, bimodal_1d, monkeypatch,
+    def test_one_call_per_round_on_calling_thread(self, sched50, bimodal_1d, round_calls,
                                                   mode, clock):
-        calls = self._record(monkeypatch)
         op = Operator("ddim", AnalyticEps(bimodal_1d), sched50)
         traj, reports = run_parallel(op, np.array([0.3]), 4, mode, None,
                                      clock=clock() if clock else None)
-        assert len(calls) == len(reports)
-        assert {ident for ident, _, _ in calls} == {threading.get_ident()}
-        assert [(shape, rows) for _, shape, rows in calls] == \
+        assert len(round_calls) == len(reports)
+        assert {ident for ident, _, _ in round_calls} == {threading.get_ident()}
+        assert [(shape, rows) for _, shape, rows in round_calls] == \
             [((r.parallel_evals, 1), r.parallel_evals) for r in reports]
-        assert sum(rows for _, _, rows in calls) == traj.eval_count
+        assert sum(rows for _, _, rows in round_calls) == traj.eval_count
 
     def test_round_sleeps_once(self, sched50, bimodal_1d):
         # three drafts, one 40 ms latency: the round costs one evaluation, not
@@ -505,17 +489,16 @@ class TestStackedRounds:
         _, report = execute_round(den, sched50, tasks, 3, anchor_t=9)
         assert 40.0 <= report.round_wall_ms < 80.0
 
-    def test_empty_round_makes_no_call(self, bimodal_1d, monkeypatch):
+    def test_empty_round_makes_no_call(self, bimodal_1d, round_calls):
         # N = 17 on 4 devices: the last aggressive block drafts only the
         # sigma = 0 node, whose task is dropped
-        calls = self._record(monkeypatch)
         op = Operator("euler", AnalyticEps(bimodal_1d), build_sigma_grid(17, 0.02, 20, 7))
         _, reports = run_parallel(op, np.array([1.5]), 4, Mode.AGGRESSIVE, None)
         assert reports[-1].parallel_evals == 0
-        assert len(calls) == sum(1 for r in reports if r.parallel_evals) == len(reports) - 1
-        calls.clear()
+        assert len(round_calls) == sum(1 for r in reports if r.parallel_evals) == len(reports) - 1
+        round_calls.clear()
         vals, report = execute_round(AnalyticEps(bimodal_1d), op.levels, [], 4, anchor_t=1)
-        assert vals == [] and report.parallel_evals == 0 and not calls
+        assert vals == [] and report.parallel_evals == 0 and not round_calls
 
 
 class TestDraftRule:
@@ -571,7 +554,7 @@ class TestNoiseDraws:
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("family,rule", [("ddpm", VarianceRule.deterministic()),
                                              ("ddim", VarianceRule.ddpm_induced()),
-                                             ("ddim", VarianceRule.eta_scaled(0.5))],
+                                             ("ddim", VarianceRule(0.5))],
                              ids=["ddpm", "ddim-ddpm", "ddim-eta"])
     def test_sequential_draws_each_once(self, bimodal_1d, monkeypatch,
                                         family, rule, mode, T, devices, labels):

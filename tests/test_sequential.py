@@ -202,7 +202,7 @@ class TestOperatorSkip:
     CASES = [
         ("ddim", VarianceRule.deterministic()),
         ("ddim", VarianceRule.ddpm_induced()),
-        ("ddim", VarianceRule.eta_scaled(0.5)),
+        ("ddim", VarianceRule(0.5)),
         ("ddpm", VarianceRule.deterministic()),
         ("euler", VarianceRule.deterministic()),
     ]

@@ -111,7 +111,7 @@ class TestDdimCoeffs:
             rule = [
                 VarianceRule.deterministic(),
                 VarianceRule.ddpm_induced(),
-                VarianceRule.eta_scaled(float(rng.uniform(0, 1))),
+                VarianceRule(float(rng.uniform(0, 1))),
             ][rng.integers(3)]
             c = ddim_skip_coeffs(s, t, k, rule)
             a_t, a_s = s.alpha_bar[t], s.alpha_bar[t - k]
@@ -120,8 +120,8 @@ class TestDdimCoeffs:
 
     def test_eta_interpolates(self, half_sched):
         full = ddim_skip_coeffs(half_sched, 3, 2, VarianceRule.ddpm_induced())
-        half = ddim_skip_coeffs(half_sched, 3, 2, VarianceRule.eta_scaled(0.5))
-        zero = ddim_skip_coeffs(half_sched, 3, 2, VarianceRule.eta_scaled(0.0))
+        half = ddim_skip_coeffs(half_sched, 3, 2, VarianceRule(0.5))
+        zero = ddim_skip_coeffs(half_sched, 3, 2, VarianceRule(0.0))
         assert half.sigma == pytest.approx(full.sigma / 2, rel=1e-15)
         assert zero.sigma == 0.0
 
@@ -150,12 +150,12 @@ class TestDdimCoeffs:
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
-            VarianceRule.eta_scaled(1.5)
+            VarianceRule(1.5)
 
     def test_a_rule_is_one_eta(self):
         # the named rules are the two ends of the eta range
-        assert VarianceRule.eta_scaled(1.0) == VarianceRule.ddpm_induced()
-        assert VarianceRule.eta_scaled(0.0) == VarianceRule.deterministic()
+        assert VarianceRule(1.0) == VarianceRule.ddpm_induced()
+        assert VarianceRule(0.0) == VarianceRule.deterministic()
 
 
 class TestDdimSkip:
@@ -188,7 +188,7 @@ class TestDdimSkip:
         rng = np.random.default_rng(7)
         t, k = 4, 3
         x_t, eps, z = rng.normal(size=(3, 4))
-        rule = VarianceRule.eta_scaled(0.7)
+        rule = VarianceRule(0.7)
         c = ddim_skip_coeffs(half_sched, t, k, rule)
         a_t = half_sched.alpha_bar[t]
         x0_hat = (x_t - math.sqrt(1 - a_t) * eps) / math.sqrt(a_t)
