@@ -47,11 +47,9 @@ from .sequential import (
 )
 from .transitions import (
     SkipCoeffs,
-    SkipPosterior,
     VarianceRule,
     ddim_skip,
     ddim_skip_coeffs,
-    ddpm_skip_posterior,
     ddpm_skip_sample,
     euler_skip,
     predicted_x0,

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config_file
+from .config import RunConfig, check_output_path, load_config_file
 from .denoiser import Latency, VirtualClock, WallClock, evaluate
 from .errors import ConfigError, NonFiniteState, ParseError, SkipDiffError, SuiteNotFound
 from .metrics import SampleSet, mmd_gaussian, sliced_w2
@@ -93,17 +93,8 @@ def cmd_sample(args) -> int:
 
     samples_csv = itertools.chain([["seed"] + [f"dim{j}" for j in range(cfg.dim)]], (
         [seed] + [repr(float(v)) for v in np.atleast_1d(x)] for seed, x in finals))
-    rounds_csv = itertools.chain([["round", "anchor_t", "parallel_evals", "round_wall_ms"]], (
-        [n, r.anchor_t, r.parallel_evals, f"{r.round_wall_ms:.3f}"]
-        for n, r in enumerate(all_reports)))
-    report = {
-        "config": cfg.raw,
-        "totals": totals,
-        "rounds": [vars(r) for r in all_reports],
-        "artifacts": {"samples": cfg.out_samples, "rounds": cfg.out_rounds},
-    }
-    outputs = ((cfg.out_samples, samples_csv), (cfg.out_rounds, rounds_csv),
-               (cfg.out_report, json.dumps(report, indent=2)))
+    report = {"config": cfg.raw, "totals": totals, "rounds": [vars(r) for r in all_reports]}
+    outputs = ((cfg.out_samples, samples_csv), (cfg.out_report, json.dumps(report, indent=2)))
     _write_outputs(*((path, content) for path, content in outputs if path))
     print(json.dumps({"totals": totals, "samples": cfg.samples}, indent=2))
     return EXIT_OK
@@ -291,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("out", "json"):  # an absent flag is None: stdout, or no file
-            if getattr(args, flag, None) == "":
-                raise ConfigError(f"--{flag}: expected a path, got an empty value")
+        for flag in ("out", "json"):
+            if (path := getattr(args, flag, None)) is not None:  # None is stdout, or no file
+                check_output_path(f"--{flag}", path)
         with np.errstate(all="ignore"):  # outputs are checked: Operator.skip, probe, compare
             return args.fn(args)
     except SuiteNotFound as exc:

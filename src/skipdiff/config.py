@@ -23,6 +23,7 @@ by semicolons. Lines starting with # are comments.
 """
 
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -68,7 +69,6 @@ KNOWN_KEYS = {
     "dim": (None, "state dimension (required for state-independent denoiser)"),
     "output.samples": (None, "samples CSV path"),
     "output.report": (None, "JSON report path"),
-    "output.rounds": (None, "round-report CSV path"),
 }
 
 
@@ -104,7 +104,18 @@ class RunConfig:
     dim: int
     out_samples: str | None
     out_report: str | None
-    out_rounds: str | None
+
+
+def check_output_path(name: str, path: str) -> None:
+    """Reject, before any work runs, an output path that cannot be created:
+    an empty one, one that names a directory, or one whose directory does not
+    exist. Other write failures (permissions, a full disk) surface at write time."""
+    if path == "":
+        raise ConfigError(f"{name}: expected a path, got an empty value")
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder):
+        what = "is a directory" if os.path.isdir(path) else f"{folder} is not a directory"
+        raise ConfigError(f"{name}: cannot write {path}: {what}")
 
 
 def _finite(text: str) -> float:
@@ -223,9 +234,9 @@ def _build(kv: dict, given: dict) -> RunConfig:
 
     if family == "euler" and mixture is None:
         raise ValueError("sampler.family=euler requires a mixture denoiser")
-    for key in ("output.samples", "output.report", "output.rounds"):
-        if kv.get(key) == "":
-            raise ValueError(f"{key}: expected a path, got an empty value")
+    for key in ("output.samples", "output.report"):
+        if key in kv:
+            check_output_path(key, kv[key])
     samples = _number(kv, "samples", int, 1, _SEED_KEYS)
     return RunConfig(
         raw=kv,
@@ -235,7 +246,6 @@ def _build(kv: dict, given: dict) -> RunConfig:
         samples=samples, dim=dim,
         out_samples=kv.get("output.samples"),
         out_report=kv.get("output.report"),
-        out_rounds=kv.get("output.rounds"),
     )
 
 

@@ -16,7 +16,7 @@ alone. 2*ceil(T/(k+1)) rounds, one fewer when the plan ends on a lone step
 
 Both modes run any sequential.Operator: DDIM and DDPM predict eps on a noise
 schedule, Euler predicts the ODE velocity on a sigma grid, and all three go
-through the same denoiser wrapper stack (latency, virtual clock, counting).
+through the same denoiser wrapper stack (latency, virtual clock).
 
 Execution and determinism: each round is one evaluate() call over its drafts
 stacked in task order on a new leading axis, on the scheduler thread. All

@@ -64,14 +64,6 @@ class SkipCoeffs:
     sigma: float
 
 
-@dataclass(frozen=True)
-class SkipPosterior:
-    """Isotropic Gaussian q(x_{t-k} | x_t, x_0)."""
-
-    mean: np.ndarray
-    variance: float
-
-
 def _check_skip(s: NoiseSchedule, t: int, k: int):
     if k < 1:
         raise InvalidSkip(f"k={k} must be >= 1")
@@ -101,19 +93,6 @@ def _add_noise(mean: np.ndarray, sigma: float, z: np.ndarray | None) -> np.ndarr
     return mean + sigma * z
 
 
-def ddpm_skip_posterior(
-    s: NoiseSchedule, t: int, k: int, x_t: np.ndarray, x0_hat: np.ndarray
-) -> SkipPosterior:
-    """k-step analogue of the one-step DDPM posterior."""
-    variance = _ddpm_skip_variance(s, t, k)
-    a_t = s.alpha_bar[t]
-    a_s = s.alpha_bar[t - k]
-    ratio = a_t / a_s
-    mean = (np.sqrt(ratio) * (1.0 - a_s) * x_t
-            + np.sqrt(a_s) * (1.0 - ratio) * x0_hat) / (1.0 - a_t)
-    return SkipPosterior(mean=mean, variance=variance)
-
-
 def ddpm_skip_sample(
     s: NoiseSchedule,
     t: int,
@@ -122,10 +101,16 @@ def ddpm_skip_sample(
     x0_hat: np.ndarray,
     z: np.ndarray | None,
 ) -> np.ndarray:
-    """mean + sqrt(variance) * z. z may be None only when the variance is 0
+    """A draw from the k-step analogue of the one-step DDPM posterior,
+    mean + sqrt(variance) * z. z may be None only when the variance is 0
     (the skip-to-0 degeneracy)."""
-    post = ddpm_skip_posterior(s, t, k, x_t, x0_hat)
-    return _add_noise(post.mean, math.sqrt(post.variance), z)
+    variance = _ddpm_skip_variance(s, t, k)
+    a_t = s.alpha_bar[t]
+    a_s = s.alpha_bar[t - k]
+    ratio = a_t / a_s
+    mean = (np.sqrt(ratio) * (1.0 - a_s) * x_t
+            + np.sqrt(a_s) * (1.0 - ratio) * x0_hat) / (1.0 - a_t)
+    return _add_noise(mean, math.sqrt(variance), z)
 
 
 def _ddim_sigma(s: NoiseSchedule, t: int, k: int, rule: VarianceRule) -> tuple:

@@ -73,13 +73,15 @@ class TestSample:
             f"sampler.devices = 3\n"
             f"schedule.T = 10\n"
             f"samples = 2\n"
-            f"output.rounds = {tmp_path}/rounds.csv\n"
+            f"output.report = {tmp_path}/r.json\n"
         ))
         assert main(["sample", "--config", cfg]) == EXIT_OK
-        with open(tmp_path / "rounds.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["round", "anchor_t", "parallel_evals", "round_wall_ms"]
-        assert len(rows) == 1 + 2 * 5  # 5 rounds per run, 2 runs
+        rounds = json.loads((tmp_path / "r.json").read_text())["rounds"]
+        assert len(rounds) == 2 * 5  # 5 rounds per run, 2 runs
+        assert all(sorted(r) == ["anchor_t", "parallel_evals", "round_wall_ms"] for r in rounds)
+        # per run: x_10 alone, then blocks of 3 drafts from 10, 7 and 4, and 1 draft from 1
+        assert [(r["anchor_t"], r["parallel_evals"]) for r in rounds] == \
+            [(10, 1), (10, 3), (7, 3), (4, 3), (1, 1)] * 2
 
     def test_reproducible(self, tmp_path):
         cfg = write_cfg(tmp_path, BIMODAL + (
@@ -110,15 +112,25 @@ class TestSample:
         assert main(["sample", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
     def test_failed_write_removes_partial_outputs(self, tmp_path, capsys):
-        # the samples CSV is written first; the report below /dev/null then cannot be
+        # the samples CSV is written first; the report to /dev/full then fails as
+        # a full disk would
         cfg = write_cfg(tmp_path, BIMODAL + (
             f"schedule.T = 4\n"
             f"output.samples = {tmp_path}/p.csv\n"
-            f"output.report = /dev/null/r.json\n"
+            f"output.report = /dev/full\n"
         ))
         assert main(["sample", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "p.csv").exists()
+
+    def test_missing_output_directory_runs_no_chain(self, tmp_path, capsys, monkeypatch):
+        # the path is checked when the config loads, so no chain's work is lost to it
+        monkeypatch.setattr(cli, "_run_once", lambda *args: pytest.fail("a chain ran"))
+        path = tmp_path / "missing" / "s.csv"
+        cfg = write_cfg(tmp_path, BIMODAL + f"output.samples = {path}\n")
+        assert main(["sample", "--config", cfg]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and str(path) in err
 
     @pytest.mark.parametrize("kind", ["symlink", "fifo"])
     def test_failed_write_keeps_non_regular_outputs(self, tmp_path, capsys, kind):
@@ -132,7 +144,7 @@ class TestSample:
             os.mkfifo(out)
             reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write cannot block
         cfg = write_cfg(tmp_path, BIMODAL + (
-            f"schedule.T = 4\noutput.samples = {out}\noutput.report = /dev/null/r.json\n"
+            f"schedule.T = 4\noutput.samples = {out}\noutput.report = /dev/full\n"
         ))
         try:
             assert main(["sample", "--config", cfg]) == EXIT_CONFIG
@@ -284,12 +296,12 @@ BAD_INPUTS = {
                             ["sample"]),
     "output-report-path": (BIMODAL + "schedule.T = 4\noutput.report = /dev/null/r.json\n",
                            ["sample"]),
-    "output-rounds-path": (BIMODAL + "schedule.T = 4\noutput.rounds = /dev/null/r.csv\n",
-                           ["sample"]),
+    "output-report-directory": (BIMODAL + "output.report = /\n", ["sample"]),
+    # output.rounds is not a key: the report holds the rounds
+    "output-rounds-unknown": (BIMODAL + "output.rounds = r.csv\n", ["sample"]),
     # an empty path would write nothing, without notice
     "output-samples-empty": (BIMODAL + "output.samples =\n", ["sample"]),
     "output-report-empty": (BIMODAL + "output.report =\n", ["sample"]),
-    "output-rounds-empty": (BIMODAL + "output.rounds =\n", ["sample"]),
     "bench-out-path": (BIMODAL + "latency.eval_ms = 1\nschedule.T = 4\n",
                        ["bench", "--devices", "2", "--out", "/dev/null/b.csv"]),
     "dump-schedule-out-path": (BIMODAL, ["dump-schedule", "--out", "/dev/null/d.csv"]),
@@ -342,7 +354,6 @@ VALID_TOKENS = {  # one or two accepted values per key, so runs get past the fir
     "sampler.eta": ["0.5"], "sampler.subsequence": ["50, 25, 0", "3, 1, 0"],
     "seed": ["7"], "samples": ["2"],
     "dim": ["1", "2"], "output.samples": ["s.csv"], "output.report": ["r.json"],
-    "output.rounds": ["r.csv"],
 }
 
 
@@ -392,8 +403,10 @@ def test_fuzzed_config_never_raises(tmp_path_factory, text):
     ["dump-schedule", "--config", "{cfg}", "--out", ""],
     ["bench", "--config", "{cfg}", "--out", ""],
     ["verify", "coeffs", "--json", ""],
+    ["dump-schedule", "--config", "{cfg}", "--out", "/"],
 ], ids=["compare-projections", "compare-bandwidth", "compare-seed", "verify-json",
-        "dump-schedule-out-empty", "bench-out-empty", "verify-json-empty"])
+        "dump-schedule-out-empty", "bench-out-empty", "verify-json-empty",
+        "dump-schedule-out-directory"])
 def test_bad_flag_exits_config(tmp_path, capsys, command):
     samples = tmp_path / "s.csv"
     samples.write_text("seed,dim0\n0,0.5\n1,-0.5\n2,1.5\n")
@@ -402,7 +415,7 @@ def test_bad_flag_exits_config(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (command[-1] or command[-2]) in err  # names the bad value or path, else the flag
-    assert command[-1] or out == ""  # an empty path prints nothing to stdout
+    assert out == ""  # a bad flag or path is found before any work prints
 
 
 @pytest.mark.parametrize("command", [

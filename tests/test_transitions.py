@@ -9,7 +9,6 @@ from skipdiff import (
     build_sigma_grid,
     ddim_skip,
     ddim_skip_coeffs,
-    ddpm_skip_posterior,
     ddpm_skip_sample,
     euler_skip,
 )
@@ -27,16 +26,27 @@ def half_sched():
     return build_linear_beta(4, 0.5, 0.5)
 
 
+def posterior_mean(s, t, k, x_t, x0):
+    """The skip posterior's mean: ddpm_skip_sample at z = 0."""
+    return ddpm_skip_sample(s, t, k, x_t, x0, np.zeros_like(x_t))
+
+
+def posterior_variance(s, t, k):
+    """The skip posterior's variance: the square of ddpm_skip_sample at
+    x_t = x0 = 0 and z = 1, where the mean is exactly 0."""
+    return ddpm_skip_sample(s, t, k, np.zeros(1), np.zeros(1), np.ones(1))[0] ** 2
+
+
 class TestDdpmSkip:
     def test_hand_checked_posterior(self, half_sched):
         # t=4, k=2: abar_t=1/16, abar_s=1/4, x_t=2, x0=0
         # mean = sqrt(1/4)*(3/4)*2 / (15/16) = 0.75/0.9375*... -> sqrt(2) form below
-        post = ddpm_skip_posterior(half_sched, 4, 2, np.array([2.0]), np.array([0.0]))
+        mean = posterior_mean(half_sched, 4, 2, np.array([2.0]), np.array([0.0]))
         a_t, a_s = 1 / 16, 1 / 4
         expect_mean = math.sqrt(a_t / a_s) * (1 - a_s) * 2.0 / (1 - a_t)
         expect_var = (1 - a_t / a_s) * (1 - a_s) / (1 - a_t)
-        assert post.mean[0] == pytest.approx(expect_mean, rel=1e-15)
-        assert post.variance == pytest.approx(expect_var, rel=1e-15)
+        assert mean[0] == pytest.approx(expect_mean, rel=1e-15)
+        assert posterior_variance(half_sched, 4, 2) == pytest.approx(expect_var, rel=1e-15)
 
     def test_frozen_sample_value(self, half_sched):
         # mpmath-frozen (50 digits): t=2, k=1, x_t=1, x0=1, z=1
@@ -54,14 +64,14 @@ class TestDdpmSkip:
             + math.sqrt(a_s) * beta / (1 - a_t) * x0
         )
         classic_var = (1 - a_s) / (1 - a_t) * beta
-        post = ddpm_skip_posterior(half_sched, t, 1, x_t, x0)
-        np.testing.assert_allclose(post.mean, classic_mean, rtol=1e-13)
-        assert post.variance == pytest.approx(classic_var, rel=1e-13)
+        np.testing.assert_allclose(posterior_mean(half_sched, t, 1, x_t, x0), classic_mean,
+                                   rtol=1e-13)
+        assert posterior_variance(half_sched, t, 1) == pytest.approx(classic_var, rel=1e-13)
 
     def test_skip_to_zero_is_deterministic(self, half_sched):
-        post = ddpm_skip_posterior(half_sched, 3, 3, np.array([0.9]), np.array([0.2]))
-        assert post.variance == 0.0
-        np.testing.assert_allclose(post.mean, [0.2], atol=1e-15)
+        assert posterior_variance(half_sched, 3, 3) == 0.0
+        np.testing.assert_allclose(
+            posterior_mean(half_sched, 3, 3, np.array([0.9]), np.array([0.2])), [0.2], atol=1e-15)
         # z may be omitted exactly in this degenerate case
         out = ddpm_skip_sample(half_sched, 3, 3, np.array([0.9]), np.array([0.2]), None)
         np.testing.assert_allclose(out, [0.2], atol=1e-15)
@@ -71,16 +81,16 @@ class TestDdpmSkip:
     def test_variance_bounded_by_forward_marginal(self, half_sched):
         for t in range(1, 5):
             for k in range(1, t + 1):
-                post = ddpm_skip_posterior(half_sched, t, k, np.zeros(1), np.zeros(1))
-                assert 0.0 <= post.variance <= 1 - half_sched.alpha_bar[t - k] + 1e-15
+                variance = posterior_variance(half_sched, t, k)
+                assert 0.0 <= variance <= 1 - half_sched.alpha_bar[t - k] + 1e-15
 
     def test_invalid_args(self, half_sched):
         with pytest.raises(InvalidSkip):
-            ddpm_skip_posterior(half_sched, 2, 0, np.zeros(1), np.zeros(1))
+            ddpm_skip_sample(half_sched, 2, 0, np.zeros(1), np.zeros(1), np.zeros(1))
         with pytest.raises(TimestepOutOfRange):
-            ddpm_skip_posterior(half_sched, 5, 1, np.zeros(1), np.zeros(1))
+            ddpm_skip_sample(half_sched, 5, 1, np.zeros(1), np.zeros(1), np.zeros(1))
         with pytest.raises(TimestepOutOfRange):
-            ddpm_skip_posterior(half_sched, 2, 3, np.zeros(1), np.zeros(1))
+            ddpm_skip_sample(half_sched, 2, 3, np.zeros(1), np.zeros(1), np.zeros(1))
 
 
 class TestDdimCoeffs:
