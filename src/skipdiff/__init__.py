@@ -8,7 +8,6 @@ sqrt(1 - alpha_bar) eps), with alpha_bar[0] = 1.
 from .denoiser import (
     AnalyticEps,
     GaussianMixture,
-    Latency,
     StateIndependent,
     VirtualClock,
     eps_oracle,

@@ -25,8 +25,8 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, check_output_path, load_config_file
-from .denoiser import Latency, VirtualClock, WallClock, evaluate
+from .config import RunConfig, load_config_file
+from .denoiser import VirtualClock, WallClock, evaluate
 from .errors import ConfigError, NonFiniteState, ParseError, SkipDiffError, SuiteNotFound
 from .metrics import SampleSet, mmd_gaussian, sliced_w2
 from .parallel import Mode, run_parallel
@@ -40,6 +40,18 @@ EXIT_VERIFY_FAIL = 3
 EXIT_RUNTIME = 4
 EXIT_SUITE_NOT_FOUND = 5
 _MIN_2BW2 = 1 / sys.float_info.max  # 2 * bandwidth**2 must exceed this for a finite reciprocal
+
+
+def check_output_path(name: str, path: str) -> None:
+    """Reject, before any work runs, an output path that cannot be created:
+    an empty one, one that names a directory, or one whose directory does not
+    exist. Other write failures (permissions, a full disk) surface at write time."""
+    if path == "":
+        raise ConfigError(f"{name}: expected a path, got an empty value")
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder):
+        what = "is a directory" if os.path.isdir(path) else f"{folder} is not a directory"
+        raise ConfigError(f"{name}: cannot write {path}: {what}")
 
 
 def _run_once(cfg: RunConfig, seed: int, clock: VirtualClock | WallClock | None = None):
@@ -81,6 +93,13 @@ def _write_outputs(*outputs) -> None:
 
 def cmd_sample(args) -> int:
     cfg = load_config_file(args.config)
+    paths = {"output.samples": cfg.out_samples, "output.report": cfg.out_report}
+    for key, path in paths.items():
+        if path is not None:
+            check_output_path(key, path)
+    real = [os.path.realpath(path) for path in paths.values() if path is not None]
+    if len(real) == 2 and real[0] == real[1]:  # the report would overwrite the samples
+        raise ConfigError(f"output.report: {cfg.out_report} is the file output.samples names")
     finals, all_reports = [], []
     totals = {"evals": 0, "rounds": 0, "wall_ms": 0.0}
     for i in range(cfg.samples):
@@ -102,8 +121,7 @@ def cmd_sample(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_config_file(args.config)
-    # config puts Latency outermost; at eval_ms = 0 a speedup would read 0 / 0
-    if not isinstance(cfg.op.denoiser, Latency) or cfg.op.denoiser.eval_ms == 0:
+    if cfg.op.eval_ms == 0:  # a speedup would read 0 / 0
         raise ConfigError("bench requires a latency model with latency.eval_ms > 0")
     devices_list = _parse_list(args.devices, int, "--devices")
     if min(devices_list) < 1:

@@ -23,13 +23,12 @@ by semicolons. Lines starting with # are comments.
 """
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import AnalyticEps, GaussianMixture, Latency, StateIndependent
+from .denoiser import AnalyticEps, GaussianMixture, StateIndependent
 from .errors import ConfigError, SkipDiffError
 from .schedule import build_cosine, build_linear_beta, build_sigma_grid
 from .sequential import Operator
@@ -104,18 +103,6 @@ class RunConfig:
     dim: int
     out_samples: str | None
     out_report: str | None
-
-
-def check_output_path(name: str, path: str) -> None:
-    """Reject, before any work runs, an output path that cannot be created:
-    an empty one, one that names a directory, or one whose directory does not
-    exist. Other write failures (permissions, a full disk) surface at write time."""
-    if path == "":
-        raise ConfigError(f"{name}: expected a path, got an empty value")
-    folder = os.path.dirname(path) or "."
-    if os.path.isdir(path) or not os.path.isdir(folder):
-        what = "is a directory" if os.path.isdir(path) else f"{folder} is not a directory"
-        raise ConfigError(f"{name}: cannot write {path}: {what}")
 
 
 def _finite(text: str) -> float:
@@ -229,18 +216,16 @@ def _build(kv: dict, given: dict) -> RunConfig:
     else:
         raise ValueError(f"denoiser.kind: unknown kind {kind!r}")
 
-    if "latency.eval_ms" in kv:
-        denoiser = Latency(denoiser, _number(kv, "latency.eval_ms", lo=0.0, hi=_MAX_LATENCY_MS))
+    eval_ms = (_number(kv, "latency.eval_ms", lo=0.0, hi=_MAX_LATENCY_MS)
+               if "latency.eval_ms" in kv else 0.0)
 
     if family == "euler" and mixture is None:
         raise ValueError("sampler.family=euler requires a mixture denoiser")
-    for key in ("output.samples", "output.report"):
-        if key in kv:
-            check_output_path(key, kv[key])
     samples = _number(kv, "samples", int, 1, _SEED_KEYS)
     return RunConfig(
         raw=kv,
-        op=Operator(family, denoiser, grid if family == "euler" else schedule, labels, rule),
+        op=Operator(family, denoiser, grid if family == "euler" else schedule, labels, rule,
+                    eval_ms),
         mode=mode, devices=_number(kv, "sampler.devices", int, 1),
         seed=_number(kv, "seed", int, 0, _SEED_KEYS - samples),  # run i uses seed + i
         samples=samples, dim=dim,

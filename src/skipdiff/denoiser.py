@@ -1,8 +1,11 @@
-"""Noise-prediction denoisers: exact Gaussian-mixture oracles plus a latency wrapper.
+"""Noise-prediction denoisers: exact Gaussian-mixture oracles, and the clocks
+that the samplers charge simulated device time to.
 
 The analytic oracles stand in for a pretrained network, so every downstream
 claim about the samplers can be checked against closed forms. All denoisers
-are pure functions of their inputs and construction parameters.
+are pure functions of their inputs and construction parameters; what an
+evaluation costs is the Operator's `eval_ms`, charged where a sampler
+dispatches it.
 
 State vectors are plain float arrays of shape (dim,) or batched (n, dim);
 every oracle broadcasts over the leading batch axis.
@@ -154,8 +157,9 @@ def state_independent_eps(seed: int, t: int, dim: int) -> np.ndarray:
 class VirtualClock:
     """Accumulates simulated milliseconds instead of sleeping.
 
-    One clock belongs to one scheduler thread; a parallel round charges it
-    once, with one stacked evaluation.
+    One clock belongs to one scheduler thread. The samplers charge it where
+    they dispatch work: a sequential step once, a parallel round once for
+    its one stacked evaluation.
     """
 
     def __init__(self):
@@ -207,29 +211,12 @@ class StateIndependent:
     dim: int
 
 
-@dataclass(frozen=True)
-class Latency:
-    """Transparent wrapper: identical values, computed inside eval_ms from dispatch."""
-
-    inner: "Denoiser"
-    eval_ms: float
-
-    def __post_init__(self):
-        if not (self.eval_ms >= 0 and np.isfinite(self.eval_ms)):
-            raise ValueError("eval_ms must be finite and >= 0")
+Denoiser = AnalyticEps | StateIndependent
 
 
-Denoiser = AnalyticEps | StateIndependent | Latency
-
-
-def evaluate(
-    d: Denoiser,
-    s: NoiseSchedule | SigmaGrid,
-    x: np.ndarray,
-    t,
-    clock: VirtualClock | WallClock | None = None,
-) -> np.ndarray:
-    """Single entry point the samplers and schedulers call.
+def evaluate(d: Denoiser, s: NoiseSchedule | SigmaGrid, x: np.ndarray, t) -> np.ndarray:
+    """Single entry point the samplers and schedulers call: a pure
+    prediction, which takes no simulated time.
 
     On a NoiseSchedule, t is a timestep and the result a noise prediction;
     on a SigmaGrid, t is a grid index and the result the ODE velocity at
@@ -237,14 +224,7 @@ def evaluate(
     keyed by t.
 
     t may also be a 1-D int array, one timestep per row of x: row j of the
-    result is then bitwise evaluate(d, s, x[j], t[j]). Latency charges such
-    a stacked call (one parallel round) eval_ms once, as it does an unstacked
-    one.
-
-    Latency charges eval_ms to `clock` (a VirtualClock in fast CI) and
-    returns without waiting, so the caller can overlap host work before
-    clock.wait(); without one it waits on its own WallClock, as direct calls
-    should take eval_ms.
+    result is then bitwise evaluate(d, s, x[j], t[j]).
     """
     if isinstance(d, AnalyticEps):
         if isinstance(s, SigmaGrid):
@@ -256,13 +236,5 @@ def evaluate(
         if np.isscalar(t):
             return state_independent_eps(d.seed, t, d.dim)
         return np.stack([state_independent_eps(d.seed, int(u), d.dim) for u in t])
-    if isinstance(d, Latency):
-        own = clock is None
-        clock = WallClock() if own else clock
-        clock.charge(d.eval_ms)
-        value = evaluate(d.inner, s, x, t, clock)
-        if own:
-            clock.wait()
-        return value
     raise TypeError(f"unknown denoiser kind: {type(d).__name__}")
 

@@ -15,11 +15,12 @@ alone. 2*ceil(T/(k+1)) rounds, one fewer when the plan ends on a lone step
 (T = 1, or k = 1 and T odd); T evaluations; ideal speedup (k+1)/2.
 
 Both modes run any sequential.Operator: DDIM and DDPM predict eps on a noise
-schedule, Euler predicts the ODE velocity on a sigma grid, and all three go
-through the same denoiser wrapper stack (latency, virtual clock).
+schedule, Euler predicts the ODE velocity on a sigma grid, and all three are
+charged the Operator's `eval_ms` per round on the same clocks.
 
 Execution and determinism: each round is one evaluate() call over its drafts
-stacked in task order on a new leading axis, on the scheduler thread. All
+stacked in task order on a new leading axis, on the scheduler thread, and
+one `eval_ms` charged to the clock at its dispatch. All
 noise comes from counter-based RngStream keys and a stacked row equals its
 one-row call bitwise, so the order of the rows in a round never changes the
 output. The same keys let a round derive, during its simulated device time,
@@ -90,23 +91,27 @@ def execute_round(
     devices: int,
     *,
     anchor_t: int,
+    eval_ms: float = 0.0,
     pool=None,
     clock: VirtualClock | WallClock | None = None,
     meanwhile=None,
 ) -> tuple[list, RoundReport]:
-    """Evaluate all (x, t) tasks in one round: one evaluate() call on this
-    thread over the states stacked in task order (none if there are no
-    tasks), which charges the round's simulated latency to `clock` (default:
-    a new WallClock), `meanwhile()` during that device time, then the wait
-    on `clock`. Returns the predictions by task index and the round's
-    report, timed from dispatch to the end of the wait. `pool` is accepted
-    and ignored, because `perfbench/micro.py` passes one."""
+    """Evaluate all (x, t) tasks in one round: `eval_ms` charged to `clock`
+    (default: a new WallClock) and one evaluate() call on this thread over
+    the states stacked in task order (neither if there are no tasks), then
+    `meanwhile()` during that device time, then the wait on `clock`. Returns
+    the predictions by task index and the round's report, timed from
+    dispatch to the end of the wait. `pool` is accepted and ignored, because
+    `perfbench/micro.py` passes one."""
     if len(tasks) > devices:
         raise InvalidPlanParams(f"{len(tasks)} tasks exceed {devices} devices")
     clock = clock or WallClock()
     t0 = clock.elapsed_ms
-    results = list(evaluate(d, s, np.array([x for x, _ in tasks]),
-                            np.array([t for _, t in tasks]), clock)) if tasks else []
+    results = []
+    if tasks:
+        clock.charge(eval_ms)
+        results = list(evaluate(d, s, np.array([x for x, _ in tasks]),
+                                np.array([t for _, t in tasks])))
     if meanwhile is not None:
         meanwhile()
     clock.wait()
@@ -149,7 +154,8 @@ def run_parallel(
             return {}
         live = [(xx, i) for xx, i in tasks if op.predicts(i)]
         vals, report = execute_round(op.denoiser, op.levels, [(xx, op.level(i)) for xx, i in live],
-                                     devices, anchor_t=op.labels[blocks[b][0]], clock=clock,
+                                     devices, anchor_t=op.labels[blocks[b][0]],
+                                     eval_ms=op.eval_ms, clock=clock,
                                      meanwhile=lambda: derive_through(b + 1))
         reports.append(report)
         traj.eval_count += len(live)

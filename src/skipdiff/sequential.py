@@ -44,7 +44,8 @@ class Operator:
     N..0 on a grid, where a label counts the remaining grid intervals); a
     strictly decreasing subsequence samples DDIM/DDPM on fewer steps. `rule`
     sets the DDIM transition variance; ddpm is always stochastic and euler
-    never is.
+    never is. `eval_ms` is the simulated device time of one dispatched
+    evaluation, a sequential step or a parallel round.
     """
 
     family: str
@@ -52,8 +53,11 @@ class Operator:
     levels: NoiseSchedule | SigmaGrid
     labels: tuple | None = None
     rule: VarianceRule = VarianceRule.deterministic()
+    eval_ms: float = 0.0
 
     def __post_init__(self):
+        if not (self.eval_ms >= 0 and np.isfinite(self.eval_ms)):
+            raise ValueError("eval_ms must be finite and >= 0")
         on_grid = isinstance(self.levels, SigmaGrid)
         if self.family not in ("ddim", "ddpm", "euler") or (self.family == "euler") != on_grid:
             raise ValueError(
@@ -120,8 +124,8 @@ def sample(
     stream: RngStream | None,
     clock: VirtualClock | WallClock | None = None,
 ) -> Trajectory:
-    """Sequential sampling: one evaluation and one unit step per label, timed
-    on `clock` (default: a new WallClock).
+    """Sequential sampling: one evaluation and one unit step per label, each
+    evaluation charged `op.eval_ms` on `clock` (default: a new WallClock).
 
     The z consumed by the transition into label u is always
     stream.derive(u, TRANSITION); an operator without noise consumes none
@@ -131,7 +135,8 @@ def sample(
     x = np.asarray(x, dtype=float)
     traj = Trajectory(states=[(op.labels[0], x)])
     for i in range(op.steps):
-        v = evaluate(op.denoiser, op.levels, x, op.level(i), clock)
+        clock.charge(op.eval_ms)
+        v = evaluate(op.denoiser, op.levels, x, op.level(i))
         traj.eval_count += 1
         z = op.noise(stream, i + 1, x.shape)
         clock.wait()

@@ -38,9 +38,9 @@ def round_calls(monkeypatch):
     calls = []
     real = parallel.evaluate
 
-    def recording(d, s, x, t, clock=None):
+    def recording(d, s, x, t):
         calls.append((threading.get_ident(), np.shape(x), np.size(t)))
-        return real(d, s, x, t, clock)
+        return real(d, s, x, t)
     monkeypatch.setattr(parallel, "evaluate", recording)
     return calls
 
@@ -55,8 +55,8 @@ def shuffle_rounds(monkeypatch):
     def install(seed):
         rng = np.random.default_rng(seed)
 
-        def shuffled(d, s, x, t, clock=None):
+        def shuffled(d, s, x, t):
             perm = rng.permutation(len(t))
-            return real(d, s, x[perm], t[perm], clock)[np.argsort(perm)]
+            return real(d, s, x[perm], t[perm])[np.argsort(perm)]
         monkeypatch.setattr(parallel, "evaluate", shuffled)
     return install

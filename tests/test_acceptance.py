@@ -14,7 +14,6 @@ import pytest
 from skipdiff import (
     AnalyticEps,
     GaussianMixture,
-    Latency,
     Mode,
     Operator,
     RngStream,
@@ -167,7 +166,7 @@ def test_05_speedup_laws(capsys):
     T, eval_ms = 48, 50.0
     s = default_schedule(T)
     gm = standard_normal_mixture(1)
-    den = Latency(AnalyticEps(gm), eval_ms)
+    den = AnalyticEps(gm)
     rule = VarianceRule.deterministic()
     stream = RngStream(seed=0)
     x_T = derive_noise(stream, T, Role.INIT, 1)
@@ -181,7 +180,7 @@ def test_05_speedup_laws(capsys):
             best = min(best, (time.monotonic() - t0) * 1000.0)
         return best
 
-    op = Operator("ddim", den, s, rule=rule)
+    op = Operator("ddim", den, s, rule=rule, eval_ms=eval_ms)
     seq_ms = timed(lambda: sample(op, x_T, stream))
 
     fails, details = [], []

@@ -8,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -131,6 +132,17 @@ class TestSample:
         assert main(["sample", "--config", cfg]) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and str(path) in err
+
+    def test_report_naming_the_samples_file_runs_no_chain(self, tmp_path, capsys, monkeypatch):
+        # through a symlink, the report would overwrite the samples CSV
+        monkeypatch.setattr(cli, "_run_once", lambda *args: pytest.fail("a chain ran"))
+        (tmp_path / "link.csv").symlink_to(tmp_path / "s.csv")
+        cfg = write_cfg(tmp_path, BIMODAL + (
+            f"output.samples = {tmp_path}/s.csv\noutput.report = {tmp_path}/link.csv\n"))
+        assert main(["sample", "--config", cfg]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and f"{tmp_path}/link.csv" in err
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("kind", ["symlink", "fifo"])
     def test_failed_write_keeps_non_regular_outputs(self, tmp_path, capsys, kind):
@@ -297,6 +309,9 @@ BAD_INPUTS = {
     "output-report-path": (BIMODAL + "schedule.T = 4\noutput.report = /dev/null/r.json\n",
                            ["sample"]),
     "output-report-directory": (BIMODAL + "output.report = /\n", ["sample"]),
+    # one file for both outputs: the report would overwrite the samples
+    "output-report-is-output-samples": (BIMODAL + "schedule.T = 4\noutput.samples = /dev/null\n"
+                                        "output.report = /dev/../dev/null\n", ["sample"]),
     # output.rounds is not a key: the report holds the rounds
     "output-rounds-unknown": (BIMODAL + "output.rounds = r.csv\n", ["sample"]),
     # an empty path would write nothing, without notice
@@ -332,6 +347,18 @@ def test_bad_input_exits_config(tmp_path, capsys, case):
     assert err.startswith("error: ")
     if isinstance(text, bytes):  # an unreadable file is named
         assert cfg in err
+
+
+@pytest.mark.parametrize("command", [["bench", "--devices", "2"], ["dump-schedule"]],
+                         ids=["bench", "dump-schedule"])
+def test_output_keys_of_sample_are_not_checked_elsewhere(tmp_path, capsys, command):
+    # only `sample` writes output.samples and output.report, so only it checks them
+    missing = tmp_path / "missing"
+    cfg = write_cfg(tmp_path, BIMODAL + (
+        f"schedule.T = 4\nlatency.eval_ms = 1\n"
+        f"output.samples = {missing}/s.csv\noutput.report = {missing}/r.json\n"))
+    assert main([command[0], "--config", cfg, *command[1:]]) == EXIT_OK
+    assert capsys.readouterr().out and not missing.exists()
 
 
 EDGE_TOKENS = ["nan", "inf", "-1", "0", "1e300", "", "abc", "1,2", "-2 0; 2",
@@ -695,6 +722,17 @@ class TestProbe:
         for out, i in ((last, 31), (tenth, 10)):
             assert [float(v) for v in out.split()] == \
                 list(velocity_oracle(gm, np.array([0.5]), sigmas[i]))
+
+    def test_latency_never_delays_a_probe(self, tmp_path, capsys):
+        # device time is charged where a sampler dispatches work; a probe dispatches none
+        plain = write_cfg(tmp_path, BIMODAL, name="plain.cfg")
+        assert main(["probe", "--config", plain, "--x", "0.5", "--t", "10"]) == EXIT_OK
+        cfg = write_cfg(tmp_path, BIMODAL + "latency.eval_ms = 2000\n")
+        t0 = time.monotonic()
+        assert main(["probe", "--config", cfg, "--x", "0.5", "--t", "10"]) == EXIT_OK
+        assert time.monotonic() - t0 < 1.0
+        plain_out, out = capsys.readouterr().out.splitlines()
+        assert out == plain_out
 
     def test_non_finite_prediction_exits_runtime(self, tmp_path, capsys):
         # a finite state near the float limit overflows the mixture oracle

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skipdiff import AnalyticEps, Latency, StateIndependent, VarianceRule
+from skipdiff import AnalyticEps, StateIndependent, VarianceRule
 from skipdiff.config import load_config, load_config_file, parse_kv_text
 from skipdiff.errors import ConfigError
 
@@ -65,10 +65,11 @@ class TestLoadConfig:
             load_config("mixture.means = 0 0\ndim = 3")
 
     def test_wrappers_compose(self):
+        # the latency is the Operator's, charged where work is dispatched, not a denoiser wrapper
         cfg = load_config("latency.eval_ms = 5\n")
-        assert isinstance(cfg.op.denoiser, Latency)
-        assert isinstance(cfg.op.denoiser.inner, AnalyticEps)
-        assert cfg.op.denoiser.eval_ms == 5.0
+        assert isinstance(cfg.op.denoiser, AnalyticEps)
+        assert cfg.op.eval_ms == 5.0
+        assert load_config("").op.eval_ms == 0.0
 
     def test_rules(self):
         assert load_config("sampler.rule = ddpm").op.rule == VarianceRule.ddpm_induced()

@@ -8,12 +8,14 @@ from scipy.integrate import quad
 from skipdiff import (
     AnalyticEps,
     GaussianMixture,
-    Latency,
+    Operator,
     StateIndependent,
     VirtualClock,
     build_sigma_grid,
     eps_oracle,
     evaluate,
+    execute_round,
+    sample,
     state_independent_eps,
     velocity_oracle,
     x0_posterior_mean,
@@ -177,40 +179,44 @@ class TestStateIndependent:
 
 
 class TestEvaluateWrappers:
+    """evaluate() is a pure prediction; the Operator's eval_ms is device time
+    that a sampler charges where it dispatches the evaluation. One step from
+    t = 7 to 0 makes one evaluation."""
+
     def test_latency_transparency_and_timing(self, bimodal_1d, sched50):
         x = np.array([0.4])
         base = AnalyticEps(bimodal_1d)
-        wrapped = Latency(base, 50.0)
         t0 = time.monotonic()
-        got = evaluate(wrapped, sched50, x, 7)
+        got = sample(Operator("ddim", base, sched50, (7, 0), eval_ms=50.0), x, None).final
         elapsed = time.monotonic() - t0
-        np.testing.assert_array_equal(got, evaluate(base, sched50, x, 7))
+        np.testing.assert_array_equal(got, sample(Operator("ddim", base, sched50, (7, 0)),
+                                                  x, None).final)
         assert elapsed >= 0.050
 
     def test_latency_computes_inner_inside_eval_time(self, bimodal_1d, sched50, monkeypatch):
-        # the inner prediction takes 40 ms of host time, which a direct call
-        # spends inside its 60 ms of device time instead of after it
+        # the prediction takes 40 ms of host time, which a step spends inside
+        # its 60 ms of device time instead of after it
         real = denoiser.eps_oracle
 
         def slow(*args):
             time.sleep(0.040)
             return real(*args)
         monkeypatch.setattr(denoiser, "eps_oracle", slow)
-        wrapped = Latency(AnalyticEps(bimodal_1d), 60.0)
+        op = Operator("ddim", AnalyticEps(bimodal_1d), sched50, (7, 0), eval_ms=60.0)
         t0 = time.monotonic()
-        evaluate(wrapped, sched50, np.array([0.4]), 7)
+        sample(op, np.array([0.4]), None)
         assert 0.060 <= time.monotonic() - t0 < 0.100
 
     @pytest.mark.parametrize("eval_ms", [-1.0, float("nan"), float("inf")])
-    def test_latency_must_be_finite_and_non_negative(self, bimodal_1d, eval_ms):
+    def test_latency_must_be_finite_and_non_negative(self, bimodal_1d, sched50, eval_ms):
         with pytest.raises(ValueError, match="eval_ms must be finite and >= 0"):
-            Latency(AnalyticEps(bimodal_1d), eval_ms)
+            Operator("ddim", AnalyticEps(bimodal_1d), sched50, eval_ms=eval_ms)
 
     def test_latency_virtual_clock(self, bimodal_1d, sched50):
-        wrapped = Latency(AnalyticEps(bimodal_1d), 50.0)
+        op = Operator("ddim", AnalyticEps(bimodal_1d), sched50, (7, 0), eval_ms=50.0)
         clock = VirtualClock()
         t0 = time.monotonic()
-        evaluate(wrapped, sched50, np.array([0.4]), 7, clock)
+        sample(op, np.array([0.4]), None, clock)
         assert time.monotonic() - t0 < 0.040  # no real sleeping
         assert clock.elapsed_ms == 50.0
 
@@ -271,7 +277,8 @@ def test_zero_weight_component_is_silent_and_inert(bimodal_1d, sched50):
 STACKED_DENOISERS = {
     "analytic": lambda gm: AnalyticEps(gm),
     "state-independent": lambda gm: StateIndependent(seed=4, dim=gm.dim),
-    "latency": lambda gm: Latency(AnalyticEps(gm), 0.0),
+    # an analytic round charged its device time, as execute_round dispatches it
+    "latency": lambda gm: AnalyticEps(gm),
 }
 
 
@@ -290,17 +297,24 @@ def test_stacked_rows_equal_one_row_calls(sched50, kind, levels, dim, comps, row
     ts = np.array([13, 1, 7, 13] if levels == "grid" else [50, 0, 13, 1])
     xs = rng.normal(0, 2, (4, dim) if row_shape == "(k, d)" else (4, 3, dim))
     d = STACKED_DENOISERS[kind](gm)
-    stacked = evaluate(d, s, xs, ts)
+    if kind == "latency":
+        stacked, _ = execute_round(d, s, list(zip(xs, ts)), len(ts), anchor_t=int(ts[0]),
+                                   eval_ms=5.0, clock=VirtualClock())
+    else:
+        stacked = evaluate(d, s, xs, ts)
     for j in range(len(ts)):
         np.testing.assert_array_equal(stacked[j], evaluate(d, s, xs[j], int(ts[j])))
 
 
 def test_stacked_call_counts_rows_and_charges_once(bimodal_1d, sched50):
-    d = Latency(AnalyticEps(bimodal_1d), 5.0)
+    d = AnalyticEps(bimodal_1d)
     clock = VirtualClock()
-    assert evaluate(d, sched50, np.zeros((3, 1)), np.array([9, 8, 7]), clock).shape == (3, 1)
+    tasks = [(np.zeros(1), t) for t in (9, 8, 7)]
+    vals, _ = execute_round(d, sched50, tasks, 3, anchor_t=9, eval_ms=5.0, clock=clock)
+    assert np.shape(vals) == (3, 1)
     assert clock.elapsed_ms == 5.0
-    evaluate(d, sched50, np.zeros((2, 1)), 9, clock)  # a batch at one timestep is one eval
+    op = Operator("ddim", d, sched50, (9, 0), eval_ms=5.0)
+    sample(op, np.zeros((2, 1)), None, clock)  # a batch at one timestep is one eval
     assert clock.elapsed_ms == 10.0
 
 

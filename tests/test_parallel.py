@@ -7,7 +7,6 @@ import pytest
 
 from skipdiff import (
     AnalyticEps,
-    Latency,
     Mode,
     Operator,
     RngStream,
@@ -26,6 +25,7 @@ from skipdiff import (
     sliced_w2,
 )
 from skipdiff import parallel, sequential
+from skipdiff.denoiser import WallClock
 from skipdiff.errors import DimensionMismatch, InvalidPlanParams
 from skipdiff.rng import derive_noise
 
@@ -190,10 +190,10 @@ class TestExecuteRound:
         assert report.parallel_evals == 3
 
     def test_virtual_clock_round(self, sched50, bimodal_1d):
-        den = Latency(AnalyticEps(bimodal_1d), 40.0)
+        den = AnalyticEps(bimodal_1d)
         clock = VirtualClock()
         tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
-        _, report = execute_round(den, sched50, tasks, 3, anchor_t=9, clock=clock)
+        _, report = execute_round(den, sched50, tasks, 3, anchor_t=9, eval_ms=40.0, clock=clock)
         assert report.round_wall_ms == 40.0
         assert clock.elapsed_ms == 40.0
 
@@ -328,8 +328,8 @@ class TestParallelEuler:
 
 
 class TestParallelEulerWrapperStack:
-    """Euler runs through the same denoiser wrappers and round dispatch as
-    DDIM: latency, virtual clock, counting and stacked rounds all apply."""
+    """Euler runs through the same round dispatch as DDIM: latency, virtual
+    clock, counting and stacked rounds all apply."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -339,7 +339,7 @@ class TestParallelEulerWrapperStack:
     @pytest.mark.parametrize("mode, rounds", [(Mode.AGGRESSIVE, 5), (Mode.CONSERVATIVE, 8)])
     def test_virtual_clock_round_law(self, grid, bimodal_1d, mode, rounds):
         eval_ms = 50.0
-        op = Operator("euler", Latency(AnalyticEps(bimodal_1d), eval_ms), grid)
+        op = Operator("euler", AnalyticEps(bimodal_1d), grid, eval_ms=eval_ms)
         x0 = np.array([1.5])
         seq = sample(op, x0, None, VirtualClock())
         traj, reports = run_parallel(op, x0, 4, mode, None, clock=VirtualClock())
@@ -374,40 +374,40 @@ class TestParallelEulerWrapperStack:
 
 
 class TestSpeedupVirtualClock:
-    """With a pure-latency denoiser the virtual clock reproduces the round
+    """With an Operator's eval_ms the virtual clock reproduces the round
     laws exactly: wall time = rounds x eval time."""
 
     def test_aggressive_wall(self):
         T, devices, eval_ms = 48, 3, 50.0
         s = default_schedule(T)
-        den = Latency(StateIndependent(seed=1, dim=1), eval_ms)
+        den = StateIndependent(seed=1, dim=1)
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
-        op = Operator("ddim", den, s, rule=VarianceRule.deterministic())
+        op = Operator("ddim", den, s, rule=VarianceRule.deterministic(), eval_ms=eval_ms)
         traj, reports = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream, clock=clock)
         assert traj.wall_ms == len(reports) * eval_ms == 17 * eval_ms
 
     def test_conservative_wall(self):
         T, devices, eval_ms = 48, 3, 50.0
         s = default_schedule(T)
-        den = Latency(StateIndependent(seed=1, dim=1), eval_ms)
+        den = StateIndependent(seed=1, dim=1)
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
-        op = Operator("ddim", den, s, rule=VarianceRule.deterministic())
+        op = Operator("ddim", den, s, rule=VarianceRule.deterministic(), eval_ms=eval_ms)
         traj, reports = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream, clock=clock)
         assert traj.wall_ms == len(reports) * eval_ms == 24 * eval_ms
 
     def test_sequential_wall(self):
         T, eval_ms = 48, 50.0
         s = default_schedule(T)
-        den = Latency(StateIndependent(seed=1, dim=1), eval_ms)
+        den = StateIndependent(seed=1, dim=1)
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
-        traj = sample(Operator("ddim", den, s, rule=VarianceRule.deterministic()), x_T, stream,
-                      clock=clock)
+        op = Operator("ddim", den, s, rule=VarianceRule.deterministic(), eval_ms=eval_ms)
+        traj = sample(op, x_T, stream, clock=clock)
         assert traj.wall_ms == T * eval_ms
 
 
@@ -423,7 +423,7 @@ class TestOverheadVirtualClock:
     def test_run_wall(self, bimodal_1d, family, T, devices, mode):
         eval_ms = 5.0
         levels = build_sigma_grid(T, 0.02, 20, 7) if family == "euler" else default_schedule(T)
-        op = Operator(family, Latency(AnalyticEps(bimodal_1d), eval_ms), levels)
+        op = Operator(family, AnalyticEps(bimodal_1d), levels, eval_ms=eval_ms)
         x, stream = np.array([1.5]), RngStream(seed=4)
         assert sample(op, x, stream, VirtualClock()).wall_ms == T * eval_ms
         traj, reports = run_parallel(op, x, devices, mode, stream, clock=VirtualClock())
@@ -433,20 +433,24 @@ class TestOverheadVirtualClock:
 
 
 class TestWallClockOverlap:
-    """On a wall clock an evaluation is dispatched, host work overlaps its
-    device time, and the skip that consumes its prediction waits it out."""
+    """On a wall clock an evaluation is dispatched (its device time charged),
+    host work overlaps that time, and the skip that consumes its prediction
+    waits it out."""
 
     @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
     def test_skip_starts_eval_ms_after_dispatch(self, bimodal_1d, monkeypatch, mode):
         eval_ms = 20.0
         module = sequential if mode == "sequential" else parallel
-        real_evaluate, real_skip = module.evaluate, Operator.skip
-        dispatched, gaps = [], []
+        real_charge, real_evaluate, real_skip = WallClock.charge, module.evaluate, Operator.skip
+        charged, dispatched, gaps = [], [], []
 
-        def recording_evaluate(d, s, x, t, clock=None):
-            start = time.monotonic()
-            out = real_evaluate(d, s, x, t, clock)
-            dispatched.append((start, out))
+        def recording_charge(clock, ms):
+            charged.append(time.monotonic())
+            real_charge(clock, ms)
+
+        def recording_evaluate(d, s, x, t):
+            out = real_evaluate(d, s, x, t)
+            dispatched.append((charged[-1], out))  # the charge made just before this call
             return out
 
         def recording_skip(op, i, k, x, v, z):
@@ -454,10 +458,11 @@ class TestWallClockOverlap:
             (sent,) = [t0 for t0, out in dispatched if np.shares_memory(v, out)]
             gaps.append(start - sent)
             return real_skip(op, i, k, x, v, z)
+        monkeypatch.setattr(WallClock, "charge", recording_charge)
         monkeypatch.setattr(module, "evaluate", recording_evaluate)
         monkeypatch.setattr(Operator, "skip", recording_skip)
-        den = Latency(AnalyticEps(bimodal_1d), eval_ms)
-        op = Operator("ddpm", den, default_schedule(6))  # stochastic: noise is derived ahead
+        # stochastic: noise is derived ahead
+        op = Operator("ddpm", AnalyticEps(bimodal_1d), default_schedule(6), eval_ms=eval_ms)
         if mode == "sequential":
             sample(op, np.array([0.3]), RngStream(seed=3))
         else:
@@ -484,9 +489,9 @@ class TestStackedRounds:
     def test_round_sleeps_once(self, sched50, bimodal_1d):
         # three drafts, one 40 ms latency: the round costs one evaluation, not
         # three (the upper bound leaves room for the host's sleep resolution)
-        den = Latency(AnalyticEps(bimodal_1d), 40.0)
         tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
-        _, report = execute_round(den, sched50, tasks, 3, anchor_t=9)
+        _, report = execute_round(AnalyticEps(bimodal_1d), sched50, tasks, 3, anchor_t=9,
+                                  eval_ms=40.0)
         assert 40.0 <= report.round_wall_ms < 80.0
 
     def test_empty_round_makes_no_call(self, bimodal_1d, round_calls):
@@ -516,8 +521,8 @@ class TestDraftRule:
         calls = []
         real = parallel.evaluate
 
-        def recording(d, s, x, t, clock=None):
-            out = real(d, s, x, t, clock)
+        def recording(d, s, x, t):
+            out = real(d, s, x, t)
             calls.append((np.array(x), [int(u) for u in t], out))
             return out
         monkeypatch.setattr(parallel, "evaluate", recording)

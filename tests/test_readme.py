@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from skipdiff import Latency
 from skipdiff.cli import build_parser
 from skipdiff.config import load_config
 
@@ -34,7 +33,7 @@ def test_config_example_loads():
     cfg = load_config(text)
     # a comment line stays a comment, never part of a value
     assert (cfg.op.family, cfg.mode, cfg.devices, cfg.samples) == ("ddim", "aggressive", 3, 100)
-    assert isinstance(cfg.op.denoiser, Latency)  # so `skipdiff bench` accepts it
+    assert cfg.op.eval_ms > 0  # so `skipdiff bench` accepts it
 
 
 @pytest.mark.parametrize("line", COMMANDS, ids=[line.split()[1] for line in COMMANDS])
