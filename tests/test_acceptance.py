@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from skipdiff import (
     AnalyticEps,
@@ -19,20 +18,19 @@ from skipdiff import (
     RngStream,
     Role,
     SampleSet,
-    StateIndependent,
     VarianceRule,
-    build_linear_beta,
     build_sigma_grid,
     ddim_skip,
-    ddim_skip_coeffs,
     ddpm_skip_sample,
     default_schedule,
     euler_skip,
+    plan_blocks,
     run_parallel,
     sample,
     sliced_w2,
     standard_normal_mixture,
 )
+from skipdiff import verify
 from skipdiff.rng import derive_noise
 
 
@@ -41,6 +39,16 @@ def _report(capsys, name: str, passed: bool, detail: str = ""):
         status = "PASS" if passed else "FAIL"
         print(f"[acceptance] {status} {name}" + (f"  ({detail})" if detail else ""))
     assert passed, f"{name}: {detail}"
+
+
+def _report_suite(capsys, name: str, suite: str):
+    """Run one `verify` suite and report it as one acceptance property."""
+    results = verify.SUITES[suite]()
+    failed = [prop for prop, passed, _ in results if not passed]
+    detail = results[0][2] if len(results) == 1 else f"{len(results)} checks"
+    if failed:
+        detail += f"; failed: {', '.join(failed)}"
+    _report(capsys, name, bool(results) and not failed, detail)
 
 
 def _ident(a, b):
@@ -52,22 +60,7 @@ def _ident(a, b):
 def test_01_equivalence_oracle(capsys):
     """State-independent denoiser: parallel modes bit-identical to sequential
     DDIM over T x devices x rule."""
-    failures = []
-    for T in (8, 20, 50):
-        s = default_schedule(T)
-        den = StateIndependent(seed=11, dim=2)
-        stream = RngStream(seed=T)
-        x_T = derive_noise(stream, T, Role.INIT, 2)
-        for rule in (VarianceRule.deterministic(), VarianceRule.ddpm_induced()):
-            op = Operator("ddim", den, s, rule=rule)
-            seq = sample(op, x_T, stream)
-            for devices in (1, 2, 3, 4):
-                for mode in Mode:
-                    traj, _ = run_parallel(op, x_T, devices, mode, stream)
-                    if not _ident(traj, seq):
-                        failures.append((mode.value, T, devices, rule.eta))
-    _report(capsys, "equivalence oracle (bit-identical to sequential DDIM)",
-            not failures, f"failures={failures}" if failures else "48 configurations")
+    _report_suite(capsys, "equivalence oracle (bit-identical to sequential DDIM)", "equivalence")
 
 
 def test_02_k1_reductions(capsys):
@@ -112,51 +105,13 @@ def test_02_k1_reductions(capsys):
 def test_03_marginal_consistency(capsys):
     """Skip-transition Monte-Carlo moments match forward-marginal closed forms
     within 4 standard errors at 1e5 draws, 20 random (t, k)."""
-    draws = 100_000
-    rng = np.random.default_rng(0)
-    s = default_schedule(50)
-    x0 = np.ones(1) * 0.7
-    fails = []
-    for case in range(20):
-        t = int(rng.integers(2, 51))
-        k = int(rng.integers(1, t))
-        a_t, a_s = s.alpha_bar[t], s.alpha_bar[t - k]
-        x_t = math.sqrt(a_t) * x0 + math.sqrt(1 - a_t) * rng.standard_normal((draws, 1))
-        z = rng.standard_normal((draws, 1))
-        eps = (x_t - math.sqrt(a_t) * x0) / math.sqrt(1 - a_t)
-        for label, out in (
-            ("ddpm", ddpm_skip_sample(s, t, k, x_t, np.broadcast_to(x0, x_t.shape), z)),
-            ("ddim", ddim_skip(s, t, k, x_t, eps, VarianceRule.ddpm_induced(), z)),
-        ):
-            mean_t, var_t = math.sqrt(a_s) * float(x0[0]), 1 - a_s
-            se_mean = math.sqrt(var_t / draws)
-            se_var = var_t * math.sqrt(2 / (draws - 1))
-            if abs(out.mean() - mean_t) > 4 * se_mean or abs(out.var() - var_t) > 4 * se_var:
-                fails.append((label, case, t, k))
-    _report(capsys, "marginal consistency (MC moments, 20 cases x 2 operators)",
-            not fails, f"failures={fails}" if fails else "all within 4 SE")
+    _report_suite(capsys, "marginal consistency (MC moments, 20 cases x 2 operators)", "marginals")
 
 
 def test_04_coefficient_constraints(capsys):
-    """kappa/lambda/sigma satisfy both defining identities to 1e-10 on 1000
-    random (schedule, t, k, rule) tuples."""
-    rng = np.random.default_rng(1)
-    schedules = [default_schedule(50), build_linear_beta(100, 0.001, 0.2),
-                 build_linear_beta(30, 0.01, 0.3)]
-    worst = 0.0
-    for _ in range(1000):
-        s = schedules[rng.integers(len(schedules))]
-        t = int(rng.integers(1, s.T + 1))
-        k = int(rng.integers(1, t + 1))
-        rule = [VarianceRule.deterministic(), VarianceRule.ddpm_induced(),
-                VarianceRule(float(rng.uniform(0, 1)))][rng.integers(3)]
-        c = ddim_skip_coeffs(s, t, k, rule)
-        a_t, a_s = s.alpha_bar[t], s.alpha_bar[t - k]
-        worst = max(worst,
-                    abs(c.lam + c.kappa * math.sqrt(a_t) - math.sqrt(a_s)),
-                    abs(c.kappa**2 * (1 - a_t) + c.sigma**2 - (1 - a_s)))
-    _report(capsys, "coefficient constraints (1000 random tuples)", worst <= 1e-10,
-            f"worst={worst:.2e}")
+    """kappa/lambda/sigma satisfy both defining identities, and ddim_skip
+    applies them, to 1e-10 on 1000 random (schedule, t, k, rule) tuples."""
+    _report_suite(capsys, "coefficient constraints (1000 random tuples)", "coeffs")
 
 
 def test_05_speedup_laws(capsys):
@@ -185,18 +140,14 @@ def test_05_speedup_laws(capsys):
 
     fails, details = [], []
     for devices in (2, 3, 4):
-        lone = T % (devices + 1) == 1 and (T == 1 or devices == 1)  # the plan ends on a lone step
-        for label, mode, rounds in (
-            ("aggressive", Mode.AGGRESSIVE, 1 + math.ceil(T / devices)),
-            ("conservative", Mode.CONSERVATIVE, 2 * math.ceil(T / (devices + 1)) - lone),
-        ):
+        for mode in Mode:
             par_ms = timed(lambda: run_parallel(op, x_T, devices, mode, stream))
             speedup = seq_ms / par_ms
-            theory = T / rounds
-            details.append(f"{label}/d{devices}: {speedup:.2f}x (theory {theory:.2f}x)")
+            theory = T / plan_blocks(T, devices, mode).total_rounds
+            details.append(f"{mode.value}/d{devices}: {speedup:.2f}x (theory {theory:.2f}x)")
             if speedup < 0.9 * theory:
-                fails.append((label, devices, round(speedup, 3), round(theory, 3)))
-            if label == "aggressive" and devices == 3 and speedup < 2.5:
+                fails.append((mode.value, devices, round(speedup, 3), round(theory, 3)))
+            if mode is Mode.AGGRESSIVE and devices == 3 and speedup < 2.5:
                 fails.append(("aggressive-3-headline", round(speedup, 3)))
     _report(capsys, "speedup laws (50 ms evals, T=48)", not fails,
             "; ".join(details) + (f"; failures={fails}" if fails else ""))
@@ -250,23 +201,7 @@ def test_08_accounting_laws(capsys):
     """Eval counts T+1 / T and round counts 1+ceil(T/d) / 2 ceil(T/(d+1)),
     less one round when the conservative plan ends on a lone step, hold
     exactly over the full grid."""
-    fails = []
-    for T in (8, 20, 50):
-        s = default_schedule(T)
-        den = StateIndependent(seed=3, dim=1)
-        stream = RngStream(seed=9)
-        x_T = derive_noise(stream, T, Role.INIT, 1)
-        op = Operator("ddim", den, s, rule=VarianceRule.deterministic())
-        for devices in (1, 2, 3, 4):
-            lone = T % (devices + 1) == 1 and (T == 1 or devices == 1)  # the plan ends on a lone step
-            ta, ra = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream)
-            tc, rc = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream)
-            if not (ta.eval_count == T + 1 and tc.eval_count == T
-                    and len(ra) == 1 + math.ceil(T / devices)
-                    and len(rc) == 2 * math.ceil(T / (devices + 1)) - lone):
-                fails.append((T, devices))
-    _report(capsys, "accounting laws (evals and rounds on the full grid)",
-            not fails, f"failures={fails}" if fails else "12 configurations x 2 modes")
+    _report_suite(capsys, "accounting laws (evals and rounds on the full grid)", "accounting")
 
 
 def test_09_scheduling_order_invariance(capsys, shuffle_rounds):

@@ -62,24 +62,6 @@ class TestEpsOracle:
         got = eps_oracle(bimodal_1d, sched50, np.array([x]), t)[0]
         assert got == pytest.approx(expected, abs=1e-6)
 
-    def test_score_consistency_random_probes(self, bimodal_1d, sched50):
-        rng = np.random.default_rng(0)
-        h = 1e-6
-        for _ in range(100):
-            t = int(rng.integers(1, 51))
-            x = float(rng.normal(0, 2))
-            abar = sched50.alpha_bar[t]
-            centers = np.sqrt(abar) * bimodal_1d.means[:, 0]
-            scales = abar * bimodal_1d.variances + 1 - abar
-
-            def logp(xx):
-                comps = bimodal_1d.weights * np.exp(-0.5 * (xx - centers) ** 2 / scales) / np.sqrt(scales)
-                return np.log(comps.sum())
-
-            expected = -np.sqrt(1 - abar) * (logp(x + h) - logp(x - h)) / (2 * h)
-            got = eps_oracle(bimodal_1d, sched50, np.array([x]), t)[0]
-            assert got == pytest.approx(expected, rel=1e-5, abs=1e-8)
-
     def test_errors(self, std_normal_1d, sched50):
         with pytest.raises(TimestepOutOfRange):
             eps_oracle(std_normal_1d, sched50, np.array([0.0]), 51)

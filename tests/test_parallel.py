@@ -102,23 +102,8 @@ class TestPlanBlocks:
 class TestEquivalence:
     """With a state-independent denoiser every draft evaluation sees the eps
     the sequential sampler would have seen, so both modes must reproduce
-    sequential DDIM bit-exactly."""
-
-    @pytest.mark.parametrize("T", [8, 20, 50])
-    @pytest.mark.parametrize("devices", [1, 2, 3, 4])
-    @pytest.mark.parametrize("rule", [VarianceRule.deterministic(), VarianceRule.ddpm_induced()],
-                             ids=["deterministic", "ddpm-induced"])
-    def test_grid(self, T, devices, rule):
-        s = default_schedule(T)
-        den = StateIndependent(seed=11, dim=2)
-        stream = RngStream(seed=T)
-        x_T = derive_noise(stream, T, Role.INIT, 2)
-        op = Operator("ddim", den, s, rule=rule)
-        seq = sample(op, x_T, stream)
-        agg, _ = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream)
-        con, _ = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream)
-        assert _ident(agg, seq)
-        assert _ident(con, seq)
+    sequential DDIM bit-exactly. The DDIM (T, devices, rule) grid is `verify`'s
+    equivalence suite, which acceptance test 01 runs."""
 
     def test_ddpm_family(self, sched50):
         den = StateIndependent(seed=7, dim=1)
@@ -154,18 +139,16 @@ class TestAccounting:
     @pytest.mark.parametrize("T", [8, 20, 50])
     @pytest.mark.parametrize("devices", [1, 2, 3, 4])
     def test_eval_and_round_laws(self, T, devices, round_calls):
+        # the rows dispatched are the evals counted; `verify`'s accounting
+        # suite (acceptance test 08) checks both counts against the laws
         s = default_schedule(T)
         stream = RngStream(seed=9)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         op = Operator("ddim", StateIndependent(seed=3, dim=1), s, rule=VarianceRule.deterministic())
-        ta, ra = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream)
-        assert sum(rows for _, _, rows in round_calls) == ta.eval_count == T + 1
-        assert len(ra) == 1 + math.ceil(T / devices)
-        round_calls.clear()
-        tc, rc = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream)
-        assert sum(rows for _, _, rows in round_calls) == tc.eval_count == T
-        lone = T % (devices + 1) == 1 and (T == 1 or devices == 1)  # the plan ends on a lone step
-        assert len(rc) == 2 * math.ceil(T / (devices + 1)) - lone
+        for mode in Mode:
+            round_calls.clear()
+            traj, _ = run_parallel(op, x_T, devices, mode, stream)
+            assert sum(rows for _, _, rows in round_calls) == traj.eval_count
 
     def test_round_reports(self, sched50):
         den = StateIndependent(seed=3, dim=1)
