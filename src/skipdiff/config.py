@@ -34,7 +34,7 @@ from .schedule import build_cosine, build_linear_beta, build_sigma_grid
 from .sequential import Operator
 from .transitions import VarianceRule
 
-# a latency no run could wait out: past half the longest timed wait, TIMEOUT_MAX (room for uptime)
+# a latency no run could wait out: half of threading.TIMEOUT_MAX, 146 years on 64-bit Linux
 _MAX_LATENCY_MS = threading.TIMEOUT_MAX / 2 * 1000.0
 _SEED_KEYS = 2**48  # RngStream keys use the low 48 bits of a chain seed
 _MAX_DIM = np.iinfo(np.intp).max // 8  # the longest float64 vector numpy can size in bytes

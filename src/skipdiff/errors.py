@@ -25,10 +25,6 @@ class InvalidSkip(SkipDiffError):
     """Skip length k < 1."""
 
 
-class VarianceTooLarge(SkipDiffError):
-    """Transition std exceeds the DDPM-induced std of its skip."""
-
-
 class IndexOutOfRange(SkipDiffError):
     """Sigma-grid index outside 0..N."""
 

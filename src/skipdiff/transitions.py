@@ -21,14 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidSkip, TimestepOutOfRange, VarianceTooLarge
+from .errors import IndexOutOfRange, InvalidSkip, TimestepOutOfRange
 from .schedule import NoiseSchedule, SigmaGrid
 
 
 @dataclass(frozen=True)
 class VarianceRule:
     """Transition-std policy sigma_{t,k} = eta x the DDPM-induced std, eta in
-    [0, 1]: eta = 0 is deterministic, eta = 1 the DDPM-induced value."""
+    [0, 1]: eta = 0 is deterministic, eta = 1 the DDPM-induced value. Since
+    eta <= 1, sigma never exceeds the DDPM-induced std (the rounded product
+    eta x std cannot pass std either)."""
 
     eta: float = 0.0
 
@@ -48,12 +50,6 @@ class VarianceRule:
     def stochastic(self) -> bool:
         return self.eta > 0.0
 
-    def sigma(self, s: NoiseSchedule, t: int, k: int) -> float:
-        """sigma_{t,k} for the transition t -> t-k."""
-        if not self.stochastic:
-            return 0.0
-        return self.eta * math.sqrt(_ddpm_skip_variance(s, t, k))
-
 
 @dataclass(frozen=True)
 class SkipCoeffs:
@@ -64,18 +60,15 @@ class SkipCoeffs:
     sigma: float
 
 
-def _check_skip(s: NoiseSchedule, t: int, k: int):
+def _skip_levels(s: NoiseSchedule, t: int, k: int) -> tuple:
+    """Range-checked abar_t and abar_{t-k} of the skip t -> t-k, and its
+    DDPM-induced variance."""
     if k < 1:
         raise InvalidSkip(f"k={k} must be >= 1")
     if t > s.T or k > t:
         raise TimestepOutOfRange(f"(t={t}, k={k}) outside 1 <= k <= t <= {s.T}")
-
-
-def _ddpm_skip_variance(s: NoiseSchedule, t: int, k: int) -> float:
-    _check_skip(s, t, k)
-    a_t = s.alpha_bar[t]
-    a_s = s.alpha_bar[t - k]
-    return (1.0 - a_t / a_s) * (1.0 - a_s) / (1.0 - a_t)
+    a_t, a_s = s.alpha_bar[t], s.alpha_bar[t - k]
+    return a_t, a_s, (1.0 - a_t / a_s) * (1.0 - a_s) / (1.0 - a_t)
 
 
 def predicted_x0(s: NoiseSchedule, x_t: np.ndarray, eps: np.ndarray, t: int) -> np.ndarray:
@@ -104,9 +97,7 @@ def ddpm_skip_sample(
     """A draw from the k-step analogue of the one-step DDPM posterior,
     mean + sqrt(variance) * z. z may be None only when the variance is 0
     (the skip-to-0 degeneracy)."""
-    variance = _ddpm_skip_variance(s, t, k)
-    a_t = s.alpha_bar[t]
-    a_s = s.alpha_bar[t - k]
+    a_t, a_s, variance = _skip_levels(s, t, k)
     ratio = a_t / a_s
     mean = (np.sqrt(ratio) * (1.0 - a_s) * x_t
             + np.sqrt(a_s) * (1.0 - ratio) * x0_hat) / (1.0 - a_t)
@@ -114,15 +105,10 @@ def ddpm_skip_sample(
 
 
 def _ddim_sigma(s: NoiseSchedule, t: int, k: int, rule: VarianceRule) -> tuple:
-    """Range-checked abar_t, abar_{t-k} (as floats) and sigma_{t,k} of a DDIM skip.
-    sigma may not pass the DDPM-induced std, which bounds every eta <= 1 exactly;
-    at that bound 1 - abar_{t-k} - sigma^2 can round below 0, so callers clamp it."""
-    _check_skip(s, t, k)
-    a_t, a_s = float(s.alpha_bar[t]), float(s.alpha_bar[t - k])
-    sigma = rule.sigma(s, t, k)
-    if sigma > 0.0 and sigma > math.sqrt(_ddpm_skip_variance(s, t, k)):
-        raise VarianceTooLarge(f"sigma={sigma} exceeds the DDPM-induced std of {t} -> {t - k}")
-    return a_t, a_s, sigma
+    """Range-checked abar_t, abar_{t-k} and sigma_{t,k} of a DDIM skip. At
+    eta = 1, 1 - abar_{t-k} - sigma^2 can round below 0, so callers clamp it."""
+    a_t, a_s, variance = _skip_levels(s, t, k)
+    return a_t, a_s, rule.eta * math.sqrt(variance) if rule.stochastic else 0.0
 
 
 def ddim_skip_coeffs(s: NoiseSchedule, t: int, k: int, rule: VarianceRule) -> SkipCoeffs:

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -117,12 +115,6 @@ class TestLoadConfig:
         cfg = load_config("seed = 7")
         assert cfg.raw["seed"] == "7"
         assert cfg.raw["schedule.T"] == "50"  # defaults echoed for reproducibility
-
-
-def test_readme_config_example_loads():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    cfg = load_config(readme.split("```ini\n", 1)[1].split("```", 1)[0])
-    assert (cfg.op.family, cfg.mode, cfg.devices) == ("ddim", "aggressive", 3)
 
 
 def test_load_config_file(tmp_path):

@@ -13,6 +13,7 @@ from skipdiff import (
     build_linear_beta,
     build_sigma_grid,
     ddim_skip,
+    ddim_skip_coeffs,
     ddpm_skip_sample,
     default_schedule,
     euler_skip,
@@ -20,7 +21,7 @@ from skipdiff import (
     sample,
     standard_normal_mixture,
 )
-from skipdiff.errors import InvalidSkip, InvalidSubsequence, NonFiniteState, VarianceTooLarge
+from skipdiff.errors import InvalidSkip, InvalidSubsequence, NonFiniteState
 from skipdiff.rng import derive_noise
 
 
@@ -207,7 +208,7 @@ class TestOperatorSkip:
         a_t, a_s = op.levels.alpha_bar[t], op.levels.alpha_bar[u]
         x0 = (x - math.sqrt(1.0 - a_t) * v) / math.sqrt(a_t)
         if op.family == "ddim":
-            sigma = op.rule.sigma(op.levels, t, t - u)
+            sigma = ddim_skip_coeffs(op.levels, t, t - u, op.rule).sigma
             out = math.sqrt(a_s) * x0 + math.sqrt(1.0 - a_s - sigma**2) * v
             return out + sigma * z if sigma > 0.0 else out
         ratio = a_t / a_s
@@ -236,13 +237,3 @@ class TestOperatorSkip:
             op.skip(3, 0, x, x, None)
         with pytest.raises(IndexError):
             op.skip(48, 5, x, x, None)
-
-    def test_variance_too_large_raises(self, std_normal_1d):
-        class Huge(VarianceRule):
-            def sigma(self, s, t, k):
-                return 10.0
-
-        op = Operator("ddim", AnalyticEps(std_normal_1d), default_schedule(10),
-                      rule=Huge())
-        with pytest.raises(VarianceTooLarge):
-            op.skip(0, 2, np.zeros(1), np.zeros(1), np.zeros(1))

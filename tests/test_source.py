@@ -1,6 +1,7 @@
 """Static checks on the package sources: an import that its module never
-uses, or a public name that nothing but the tests reads, fails here, since
-the test environment has no linter that would say so."""
+uses, a public name that nothing but the tests reads, or an exception class
+or private helper that no package module reads, fails here, since the test
+environment has no linter that would say so."""
 
 import ast
 import inspect
@@ -41,6 +42,12 @@ def names_read(source: str) -> set[str]:
             | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
 
 
+def module_definitions(source: str) -> set[str]:
+    """Names of the functions and classes that `source` defines at module level."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 def test_finds_an_unused_import():
     assert unused_imports("import math\nimport numpy as np\nfrom os import path, sep\n"
                           "np.zeros(path.sep)\n") == ["line 1: math", "line 3: sep"]
@@ -59,3 +66,17 @@ def test_every_export_is_read():
                 if inspect.isfunction(getattr(skipdiff, name))
                 or inspect.isclass(getattr(skipdiff, name))}
     assert exported - read == UNREAD_EXPORTS
+
+
+def test_finds_module_definitions():
+    source = "class A(B):\n    def _m(self): pass\ndef _f(): pass\nx = 1\n"
+    assert module_definitions(source) == {"A", "_f"}
+
+
+def test_every_error_and_private_definition_is_read():
+    # an exception that nothing raises or catches, or a helper that nothing calls, is dead code
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    read = set().union(*(names_read(source) for source in sources))
+    defined = module_definitions((SRC / "errors.py").read_text()) | {
+        name for source in sources for name in module_definitions(source) if name.startswith("_")}
+    assert sorted(defined - read) == []

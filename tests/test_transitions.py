@@ -12,12 +12,7 @@ from skipdiff import (
     ddpm_skip_sample,
     euler_skip,
 )
-from skipdiff.errors import (
-    IndexOutOfRange,
-    InvalidSkip,
-    TimestepOutOfRange,
-    VarianceTooLarge,
-)
+from skipdiff.errors import IndexOutOfRange, InvalidSkip, TimestepOutOfRange
 
 
 @pytest.fixture(scope="module")
@@ -126,16 +121,6 @@ class TestDdimCoeffs:
                 assert abs(c.kappa**2 * (1 - a_t) + c.sigma**2 - (1 - a_s)) <= 1e-10
                 x = ddim_skip(s, t, k, np.array([1.0]), np.array([0.3]), rule, np.array([0.2]))
                 assert np.isfinite(x).all()
-
-    def test_variance_too_large(self):
-        # a rule whose sigma exceeds the marginal std must be rejected
-        class Huge(VarianceRule):
-            def sigma(self, s, t, k):
-                return 10.0
-
-        s = build_linear_beta(10, 0.01, 0.1)
-        with pytest.raises(VarianceTooLarge):
-            ddim_skip_coeffs(s, 5, 2, Huge())
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
