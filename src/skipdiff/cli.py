@@ -31,6 +31,7 @@ from .errors import ConfigError, NonFiniteState, ParseError, SkipDiffError, Suit
 from .metrics import SampleSet, mmd_gaussian, sliced_w2
 from .parallel import Mode, run_parallel
 from .rng import RngStream, Role, derive_noise
+from .schedule import SigmaGrid
 from .sequential import sample
 from .verify import run_suite
 
@@ -60,7 +61,7 @@ def _run_once(cfg: RunConfig, seed: int, clock: VirtualClock | WallClock | None 
     stream = RngStream(seed=seed)
     op = cfg.op
     x = derive_noise(stream, op.top, Role.INIT, cfg.dim)
-    if op.family == "euler":
+    if isinstance(op.levels, SigmaGrid):
         x = op.levels.sigmas[0] * x  # the variance-exploding start
     if cfg.mode == "sequential":
         return sample(op, x, stream, clock), []
@@ -231,7 +232,7 @@ def cmd_compare(args) -> int:
 def cmd_dump_schedule(args) -> int:
     cfg = load_config_file(args.config)
     lv = cfg.op.levels
-    if cfg.op.family == "euler":
+    if isinstance(lv, SigmaGrid):
         rows = [["i", "sigma"]] + [[i, repr(float(v))] for i, v in enumerate(lv.sigmas)]
     else:
         rows = [["t", "alpha_bar", "beta"]] + [
@@ -243,7 +244,7 @@ def cmd_dump_schedule(args) -> int:
 def cmd_probe(args) -> int:
     cfg = load_config_file(args.config)
     x = np.array(_parse_list(args.x, float, "--x"))
-    last = cfg.op.top - (cfg.op.family == "euler")  # the grid's sigma_N = 0 has no velocity
+    last = cfg.op.top - isinstance(cfg.op.levels, SigmaGrid)  # sigma_N = 0 has no velocity
     if not 0 <= args.t <= last:
         raise ConfigError(f"--t {args.t} outside 0..{last}")
     if len(x) != cfg.dim or not np.isfinite(x).all():

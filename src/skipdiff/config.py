@@ -178,13 +178,13 @@ def _build(kv: dict, given: dict) -> RunConfig:
 
     rules = {"deterministic": VarianceRule.deterministic(), "ddpm": VarianceRule.ddpm_induced(),
              "eta": VarianceRule(_number(kv, "sampler.eta"))}
-    rule = rules.get(kv["sampler.rule"])
-    if rule is None:
+    if kv["sampler.rule"] not in rules:
         raise ValueError(f"sampler.rule: unknown rule {kv['sampler.rule']!r}")
     _applies(given, "sampler.eta", kv["sampler.rule"] == "eta", "sampler.rule = eta")
     only = {"ddpm": "ddpm", "euler": "deterministic"}.get(family, kv["sampler.rule"])
     if "sampler.rule" in given and kv["sampler.rule"] != only:
         raise ValueError(f"sampler.rule: the {family} family samples with rule {only} only")
+    kv["sampler.rule"] = only  # the report echoes the rule the run samples with
 
     _applies(given, "sampler.subsequence", family != "euler", "the ddim and ddpm families")
     labels = None
@@ -224,8 +224,8 @@ def _build(kv: dict, given: dict) -> RunConfig:
     samples = _number(kv, "samples", int, 1, _SEED_KEYS)
     return RunConfig(
         raw=kv,
-        op=Operator(family, denoiser, grid if family == "euler" else schedule, labels, rule,
-                    eval_ms),
+        op=Operator(denoiser, grid if family == "euler" else schedule, labels,
+                    rules[kv["sampler.rule"]], eval_ms),
         mode=mode, devices=_number(kv, "sampler.devices", int, 1),
         seed=_number(kv, "seed", int, 0, _SEED_KEYS - samples),  # run i uses seed + i
         samples=samples, dim=dim,

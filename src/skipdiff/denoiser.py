@@ -178,8 +178,9 @@ class WallClock:
     host work before `wait` overlaps the device time. `wait` spins on the
     clock until the deadline, as a GPU host under spin scheduling does: it
     returns on the first reading at or past the deadline, never before it,
-    and the host never idles, so its caches stay warm. A run on this clock
-    keeps one core busy."""
+    so the wait ends at its deadline with no OS timer overshoot. The spin
+    keeps no cache warm: host work right after a wait runs slower than back
+    to back. A run on this clock keeps one core busy."""
 
     def __init__(self):
         self._origin = self._ready = time.monotonic()

@@ -26,8 +26,9 @@ DEFAULT_T = 50
 class NoiseSchedule:
     """Discrete alpha_bar grid. Immutable; safe for concurrent reads.
 
-    alpha_bar has length T+1 (indexed 0..T); betas has length T+1 with
-    betas[0] unused (kept 0 so both arrays share indexing).
+    alpha_bar has length T+1 (indexed 0..T) and lies strictly inside (0, 1)
+    for t >= 1; betas has length T+1 with betas[0] unused (kept 0 so both
+    arrays share indexing).
     """
 
     T: int
@@ -35,6 +36,10 @@ class NoiseSchedule:
     betas: np.ndarray
 
     def __post_init__(self):
+        bad = np.flatnonzero((self.alpha_bar[1:] <= 0.0) | (self.alpha_bar[1:] >= 1.0)) + 1
+        if bad.size:  # at 1 a skip into t has no noise to remove, at 0 no signal to keep
+            raise InvalidScheduleParams(f"alpha_bar[{bad[0]}] = {float(self.alpha_bar[bad[0]])!r}"
+                                        " is not strictly inside (0, 1)")
         self.alpha_bar.setflags(write=False)
         self.betas.setflags(write=False)
 

@@ -13,7 +13,7 @@ from .denoiser import Denoiser, VirtualClock, WallClock, evaluate
 from .errors import InvalidSubsequence, NonFiniteState
 from .rng import RngStream, Role
 from .schedule import NoiseSchedule, SigmaGrid
-from .transitions import VarianceRule, ddim_skip, ddpm_skip_sample, euler_skip, predicted_x0
+from .transitions import VarianceRule, ddim_skip, euler_skip
 
 
 @dataclass
@@ -35,20 +35,18 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Operator:
-    """One sampler family on one trajectory, addressed by position i in
-    `labels`.
+    """One sampler on one trajectory, addressed by position i in `labels`.
 
-    `levels` is the NoiseSchedule (ddim, ddpm) or the SigmaGrid (euler) that
-    the denoiser and the skip read. `labels` are the trajectory timesteps
-    from the start down to 0 (default: every level, T..0 on a schedule and
-    N..0 on a grid, where a label counts the remaining grid intervals); a
-    strictly decreasing subsequence samples DDIM/DDPM on fewer steps. `rule`
-    sets the DDIM transition variance; ddpm is always stochastic and euler
-    never is. `eval_ms` is the simulated device time of one dispatched
-    evaluation, a sequential step or a parallel round.
+    `levels` choose the kernel: on a NoiseSchedule every transition and draft
+    is `ddim_skip` under `rule` (the DDPM sampler is rule = ddpm, DDIM at
+    eta = 1); on a SigmaGrid it is `euler_skip`, which takes no noise, so a
+    stochastic rule is rejected. `labels` are the trajectory timesteps from
+    the start down to 0 (default: every level, T..0 on a schedule and N..0 on
+    a grid, where a label counts the remaining grid intervals); a strictly
+    decreasing subsequence samples a schedule on fewer steps. `eval_ms` is the
+    simulated device time of one dispatched evaluation, a step or a round.
     """
 
-    family: str
     denoiser: Denoiser
     levels: NoiseSchedule | SigmaGrid
     labels: tuple | None = None
@@ -58,11 +56,9 @@ class Operator:
     def __post_init__(self):
         if not (self.eval_ms >= 0 and np.isfinite(self.eval_ms)):
             raise ValueError("eval_ms must be finite and >= 0")
-        on_grid = isinstance(self.levels, SigmaGrid)
-        if self.family not in ("ddim", "ddpm", "euler") or (self.family == "euler") != on_grid:
-            raise ValueError(
-                f"family {self.family!r} cannot run on a {type(self.levels).__name__}"
-            )
+        if isinstance(self.levels, SigmaGrid) and self.rule.stochastic:
+            raise ValueError(f"an Euler skip takes no noise: rule eta={self.rule.eta} "
+                             "cannot run on a SigmaGrid")
         top = self.top
         ts = tuple(range(top, -1, -1) if self.labels is None else self.labels)
         if not ts or ts[-1] != 0 or ts[0] > top:
@@ -74,47 +70,41 @@ class Operator:
     @property
     def top(self) -> int:
         """Number of levels below the first: T on a schedule, N on a grid."""
-        return self.levels.N if self.family == "euler" else self.levels.T
+        return self.levels.N if isinstance(self.levels, SigmaGrid) else self.levels.T
 
     @property
     def steps(self) -> int:
         return len(self.labels) - 1
 
-    @property
-    def stochastic(self) -> bool:
-        return self.family == "ddpm" or (self.family == "ddim" and self.rule.stochastic)
-
     def level(self, i: int) -> int:
         """The index into `levels` that evaluate() takes at position i."""
-        return self.top - self.labels[i] if self.family == "euler" else self.labels[i]
+        return self.top - self.labels[i] if isinstance(self.levels, SigmaGrid) else self.labels[i]
 
     def predicts(self, i: int) -> bool:
         """False at a level with no prediction: the grid's sigma = 0 node,
         where the velocity is undefined and nothing downstream needs it."""
-        return self.family != "euler" or self.labels[i] > 0
+        return not isinstance(self.levels, SigmaGrid) or self.labels[i] > 0
 
     def noise(self, stream: RngStream | None, i: int, shape):
         """The TRANSITION z into the state at position i, keyed by its label;
         None when the operator consumes no noise."""
-        if not self.stochastic:
+        if not self.rule.stochastic:
             return None
         if stream is None:
-            raise ValueError(f"stream required for a stochastic {self.family} operator")
+            raise ValueError(f"stream required for a stochastic operator (eta={self.rule.eta})")
         return stream.derive(self.labels[i], Role.TRANSITION, shape)
 
     def skip(self, i: int, k: int, x: np.ndarray, v: np.ndarray, z) -> np.ndarray:
-        """The family's jump from position i to i+k with the prediction v made
-        at i. Every transition and draft of `sample` and `run_parallel` passes
-        here, so a non-finite state is caught where made."""
+        """The jump from position i to i+k with the prediction v made at i.
+        Every transition and draft of `sample` and `run_parallel` passes here,
+        so a non-finite state is caught where made."""
         t, u = self.labels[i], self.labels[i + k]
-        if self.family == "euler":
+        if isinstance(self.levels, SigmaGrid):
             out = euler_skip(self.levels, self.level(i), t - u, x, v)
-        elif self.family == "ddim":
-            out = ddim_skip(self.levels, t, t - u, x, v, self.rule, z)
         else:
-            out = ddpm_skip_sample(self.levels, t, t - u, x, predicted_x0(self.levels, x, v, t), z)
+            out = ddim_skip(self.levels, t, t - u, x, v, self.rule, z)
         if not np.isfinite(out).all():
-            raise NonFiniteState(f"{self.family} skip from t={t} to t={u} gave a non-finite state")
+            raise NonFiniteState(f"skip from t={t} to t={u} gave a non-finite state")
         return out
 
 

@@ -1,6 +1,7 @@
 """Closed-form skip transitions: jump from x_t directly to x_{t-k}.
 
-Three operator families, all pure and safe for unrestricted concurrent use:
+All pure and safe for unrestricted concurrent use. The samplers run DDIM and
+Euler; DDIM at eta = 1 is, to rounding, the DDPM posterior draw, its reference:
 
   * DDPM posterior skip -- Bayes posterior q(x_{t-k} | x_t, x_0):
         mu' = [sqrt(abar_t/abar_{t-k}) (1-abar_{t-k}) x_t

@@ -36,7 +36,7 @@ def _state_independent_runs():
         stream = RngStream(seed=T)
         x_T = derive_noise(stream, T, Role.INIT, 2)
         for name, rule in rules.items():
-            op = Operator("ddim", den, s, rule=rule)
+            op = Operator(den, s, rule=rule)
             seq = sample(op, x_T, stream)
             for devices in (1, 2, 3, 4):
                 for mode in Mode:

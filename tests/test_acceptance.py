@@ -135,7 +135,7 @@ def test_05_speedup_laws(capsys):
             best = min(best, (time.monotonic() - t0) * 1000.0)
         return best
 
-    op = Operator("ddim", den, s, rule=rule, eval_ms=eval_ms)
+    op = Operator(den, s, rule=rule, eval_ms=eval_ms)
     seq_ms = timed(lambda: sample(op, x_T, stream))
 
     fails, details = [], []
@@ -160,7 +160,7 @@ def test_06_distributional_quality(capsys):
     s = default_schedule(50)
     gm = GaussianMixture(weights=[0.5, 0.5], means=[[-2.0, 0.0], [2.0, 0.0]],
                          variances=[1.0, 1.0])
-    op = Operator("ddim", AnalyticEps(gm), s, rule=VarianceRule.deterministic())
+    op = Operator(AnalyticEps(gm), s, rule=VarianceRule.deterministic())
 
     def batch(seed, mode=None):
         stream = RngStream(seed=seed)
@@ -188,7 +188,7 @@ def test_07_euler_convergence(capsys):
 
     def err(N):
         g = build_sigma_grid(N, smin, smax, 1.0)
-        return abs(sample(Operator("euler", AnalyticEps(gm), g), x_start, None).final[0] - exact)
+        return abs(sample(Operator(AnalyticEps(gm), g), x_start, None).final[0] - exact)
 
     e16, e32, e64 = err(16), err(32), err(64)
     r1, r2 = e16 / e32, e32 / e64
@@ -209,7 +209,7 @@ def test_09_scheduling_order_invariance(capsys, shuffle_rounds):
     round executing the same plan."""
     s = default_schedule(50)
     gm = GaussianMixture(weights=[0.5, 0.5], means=[[-2.0], [2.0]], variances=[1.0, 1.0])
-    op = Operator("ddim", AnalyticEps(gm), s, rule=VarianceRule.ddpm_induced())
+    op = Operator(AnalyticEps(gm), s, rule=VarianceRule.ddpm_induced())
     stream = RngStream(seed=13)
     x_T = derive_noise(stream, 50, Role.INIT, 1)
     refs = {mode: run_parallel(op, x_T, 4, mode, stream)[0] for mode in Mode}

@@ -185,6 +185,18 @@ class TestSample:
         assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite state" in err
         assert not (tmp_path / "p.csv").exists()
 
+    def test_steep_schedule_loads_and_exits_runtime(self, tmp_path, capsys):
+        # the smallest alpha_bar is 1.17e-293 > 0, so the schedule is valid; the
+        # run then reaches a non-finite state, and that is the error reported
+        cfg = write_cfg(tmp_path, BIMODAL + (
+            "schedule.T = 400\nschedule.beta_start = 0.5\nschedule.beta_end = 0.999\n"
+            "sampler.family = ddpm\nsampler.mode = aggressive\nsampler.devices = 3\n"
+            f"output.samples = {tmp_path}/p.csv\n"))
+        assert main(["sample", "--config", cfg]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "error: skip from t=53 to t=52 gave a non-finite state\n"
+        assert not (tmp_path / "p.csv").exists()
+
     def test_unallocatable_state_exits_runtime(self, tmp_path, capsys):
         # 8e17 bytes exceed any address space, so the allocation fails up front
         cfg = write_cfg(tmp_path, "denoiser.kind = state-independent\ndim = 100000000000000000\n"
@@ -228,6 +240,37 @@ class TestSample:
             assert main(["sample", "--config", cfg]) == EXIT_OK
             outputs.append((tmp_path / f"{name}.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("subsequence", ["", "sampler.subsequence = 20, 17, 11, 6, 2, 0\n"],
+                             ids=["all", "subsequence"])
+    @pytest.mark.parametrize("devices", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
+    def test_ddpm_family_is_ddim_at_rule_ddpm(self, tmp_path, mode, devices, subsequence):
+        # one kernel: the DDPM sampler is DDIM's skip at eta = 1, bit for bit
+        runs = []
+        for name, sampler in (("ddpm", "sampler.family = ddpm\n"),
+                              ("ddim", "sampler.family = ddim\nsampler.rule = ddpm\n")):
+            cfg = write_cfg(tmp_path, BIMODAL + sampler + subsequence + (
+                f"sampler.mode = {mode}\nsampler.devices = {devices}\nschedule.T = 20\n"
+                f"samples = 2\noutput.samples = {tmp_path}/{name}.csv\n"
+                f"output.report = {tmp_path}/{name}.json\n"), name=f"{name}.cfg")
+            assert main(["sample", "--config", cfg]) == EXIT_OK
+            report = json.loads((tmp_path / f"{name}.json").read_text())
+            runs.append(((tmp_path / f"{name}.csv").read_bytes(),
+                         report["totals"]["evals"], report["totals"]["rounds"],
+                         [(r["anchor_t"], r["parallel_evals"]) for r in report["rounds"]],
+                         report["config"]["sampler.rule"]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("family, rule", [("ddim", "deterministic"), ("ddpm", "ddpm"),
+                                              ("euler", "deterministic")])
+    def test_report_echoes_the_rule_sampled_with(self, tmp_path, family, rule):
+        # a family that fixes its rule echoes that rule, though the config leaves it unset
+        cfg = write_cfg(tmp_path, BIMODAL + (
+            f"sampler.family = {family}\nschedule.T = 4\ngrid.N = 4\n"
+            f"output.report = {tmp_path}/r.json\n"))
+        assert main(["sample", "--config", cfg]) == EXIT_OK
+        assert json.loads((tmp_path / "r.json").read_text())["config"]["sampler.rule"] == rule
 
     @pytest.mark.parametrize("eta, rule", [("1", "ddpm"), ("0", "deterministic")])
     @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
@@ -329,6 +372,9 @@ BAD_INPUTS = {
                           ["sample"]),
     "beta-end-cosine": (BIMODAL + "schedule.kind = cosine\nschedule.beta_end = 0.3\n", ["sample"]),
     "offset-linear": (BIMODAL + "schedule.offset = 0.01\n", ["sample"]),
+    # 1 - 1e-20 rounds to 1, so alpha_bar[1] = 1 and a stochastic skip into t = 0 divides by 0
+    "schedule-alpha-bar-one": (BIMODAL + "schedule.T = 10\nschedule.beta_start = 1e-20\n",
+                               ["sample"]),
     "ddpm-rule-deterministic": (BIMODAL + "sampler.family = ddpm\nsampler.rule = deterministic\n",
                                 ["sample"]),
     "ddpm-rule-eta": (BIMODAL + "sampler.family = ddpm\nsampler.rule = eta\nsampler.eta = 0.3\n",

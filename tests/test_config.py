@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skipdiff import AnalyticEps, StateIndependent, VarianceRule
+from skipdiff import AnalyticEps, NoiseSchedule, StateIndependent, VarianceRule
 from skipdiff.config import load_config, load_config_file, parse_kv_text
 from skipdiff.errors import ConfigError
 
@@ -33,7 +33,7 @@ class TestLoadConfig:
     def test_defaults(self):
         cfg = load_config("")
         assert cfg.op.levels.T == 50
-        assert cfg.op.family == "ddim"
+        assert isinstance(cfg.op.levels, NoiseSchedule)
         assert cfg.mode == "sequential"
         assert cfg.devices == 1
         assert cfg.op.rule == VarianceRule.deterministic()

@@ -169,9 +169,9 @@ class TestEvaluateWrappers:
         x = np.array([0.4])
         base = AnalyticEps(bimodal_1d)
         t0 = time.monotonic()
-        got = sample(Operator("ddim", base, sched50, (7, 0), eval_ms=50.0), x, None).final
+        got = sample(Operator(base, sched50, (7, 0), eval_ms=50.0), x, None).final
         elapsed = time.monotonic() - t0
-        np.testing.assert_array_equal(got, sample(Operator("ddim", base, sched50, (7, 0)),
+        np.testing.assert_array_equal(got, sample(Operator(base, sched50, (7, 0)),
                                                   x, None).final)
         assert elapsed >= 0.050
 
@@ -184,7 +184,7 @@ class TestEvaluateWrappers:
             time.sleep(0.040)
             return real(*args)
         monkeypatch.setattr(denoiser, "eps_oracle", slow)
-        op = Operator("ddim", AnalyticEps(bimodal_1d), sched50, (7, 0), eval_ms=60.0)
+        op = Operator(AnalyticEps(bimodal_1d), sched50, (7, 0), eval_ms=60.0)
         t0 = time.monotonic()
         sample(op, np.array([0.4]), None)
         assert 0.060 <= time.monotonic() - t0 < 0.100
@@ -192,10 +192,10 @@ class TestEvaluateWrappers:
     @pytest.mark.parametrize("eval_ms", [-1.0, float("nan"), float("inf")])
     def test_latency_must_be_finite_and_non_negative(self, bimodal_1d, sched50, eval_ms):
         with pytest.raises(ValueError, match="eval_ms must be finite and >= 0"):
-            Operator("ddim", AnalyticEps(bimodal_1d), sched50, eval_ms=eval_ms)
+            Operator(AnalyticEps(bimodal_1d), sched50, eval_ms=eval_ms)
 
     def test_latency_virtual_clock(self, bimodal_1d, sched50):
-        op = Operator("ddim", AnalyticEps(bimodal_1d), sched50, (7, 0), eval_ms=50.0)
+        op = Operator(AnalyticEps(bimodal_1d), sched50, (7, 0), eval_ms=50.0)
         clock = VirtualClock()
         t0 = time.monotonic()
         sample(op, np.array([0.4]), None, clock)
@@ -295,7 +295,7 @@ def test_stacked_call_counts_rows_and_charges_once(bimodal_1d, sched50):
     vals, _ = execute_round(d, sched50, tasks, 3, anchor_t=9, eval_ms=5.0, clock=clock)
     assert np.shape(vals) == (3, 1)
     assert clock.elapsed_ms == 5.0
-    op = Operator("ddim", d, sched50, (9, 0), eval_ms=5.0)
+    op = Operator(d, sched50, (9, 0), eval_ms=5.0)
     sample(op, np.zeros((2, 1)), None, clock)  # a batch at one timestep is one eval
     assert clock.elapsed_ms == 10.0
 

@@ -17,9 +17,11 @@ from skipdiff import (
     VirtualClock,
     build_linear_beta,
     build_sigma_grid,
+    ddpm_skip_sample,
     default_schedule,
     execute_round,
     plan_blocks,
+    predicted_x0,
     run_parallel,
     sample,
     sliced_w2,
@@ -109,7 +111,7 @@ class TestEquivalence:
         den = StateIndependent(seed=7, dim=1)
         stream = RngStream(seed=1)
         x_T = derive_noise(stream, 50, Role.INIT, 1)
-        op = Operator("ddpm", den, sched50)
+        op = Operator(den, sched50, rule=VarianceRule.ddpm_induced())
         seq = sample(op, x_T, stream)
         for devices in (1, 3):
             agg, _ = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream)
@@ -120,12 +122,11 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("devices", [1, 2, 3, 4])
     @pytest.mark.parametrize("rule", [VarianceRule.deterministic(), VarianceRule.ddpm_induced()],
-                             ids=["deterministic", "ddpm-induced"])
-    @pytest.mark.parametrize("family", ["ddim", "ddpm"])
-    def test_subsequence(self, sched50, devices, rule, family):
+                             ids=["ddim-deterministic", "ddim-ddpm-induced"])
+    def test_subsequence(self, sched50, devices, rule):
         # the subsequence is the operator's label list in every mode
         sub = [50, 44, 37, 30, 22, 15, 9, 4, 0]
-        op = Operator(family, StateIndependent(seed=5, dim=2), sched50, sub, rule)
+        op = Operator(StateIndependent(seed=5, dim=2), sched50, sub, rule)
         stream = RngStream(seed=4)
         x_T = derive_noise(stream, 50, Role.INIT, 2)
         seq = sample(op, x_T, stream)
@@ -144,7 +145,7 @@ class TestAccounting:
         s = default_schedule(T)
         stream = RngStream(seed=9)
         x_T = derive_noise(stream, T, Role.INIT, 1)
-        op = Operator("ddim", StateIndependent(seed=3, dim=1), s, rule=VarianceRule.deterministic())
+        op = Operator(StateIndependent(seed=3, dim=1), s, rule=VarianceRule.deterministic())
         for mode in Mode:
             round_calls.clear()
             traj, _ = run_parallel(op, x_T, devices, mode, stream)
@@ -154,7 +155,7 @@ class TestAccounting:
         den = StateIndependent(seed=3, dim=1)
         stream = RngStream(seed=9)
         x_T = derive_noise(stream, 50, Role.INIT, 1)
-        op = Operator("ddim", den, sched50, rule=VarianceRule.deterministic())
+        op = Operator(den, sched50, rule=VarianceRule.deterministic())
         _, reports = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream)
         assert reports[0].parallel_evals == 1  # initial anchor round
         assert all(r.parallel_evals <= 4 for r in reports)
@@ -195,7 +196,7 @@ class TestExecuteRound:
     @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
     def test_drivers_raise_the_same_error(self, sched50, bimodal_2d, mode):
         # a 1-D state on a 2-D mixture: the evaluation's own error, in every driver
-        op = Operator("ddim", AnalyticEps(bimodal_2d), sched50)
+        op = Operator(AnalyticEps(bimodal_2d), sched50)
         with pytest.raises(DimensionMismatch):
             if mode == "sequential":
                 sample(op, np.zeros(1), None, VirtualClock())
@@ -208,7 +209,7 @@ class TestDeterminism:
         den = AnalyticEps(bimodal_1d)
         stream = RngStream(seed=13)
         x_T = derive_noise(stream, 50, Role.INIT, 1)
-        op = Operator("ddim", den, sched50, rule=VarianceRule.ddpm_induced())
+        op = Operator(den, sched50, rule=VarianceRule.ddpm_induced())
         ref, _ = run_parallel(op, x_T, 4, Mode.AGGRESSIVE, stream)
         for order_seed in (1, 2, 3):
             shuffle_rounds(order_seed)
@@ -221,7 +222,7 @@ class TestFidelity:
         # conservative refreshes the anchor eps every block, so its terminal
         # deviation from sequential DDIM should not exceed the aggressive one
         # (checked in the mean over paired seeds)
-        op = Operator("ddim", AnalyticEps(bimodal_1d), sched50, rule=VarianceRule.deterministic())
+        op = Operator(AnalyticEps(bimodal_1d), sched50, rule=VarianceRule.deterministic())
         agg_dev, con_dev = [], []
         for seed in range(20):
             stream = RngStream(seed=seed)
@@ -240,25 +241,21 @@ class TestFidelity:
         # refined state), for every rule; odd T ends in a degenerate block
         rules = {"deterministic": VarianceRule.deterministic(),
                  "ddpm": VarianceRule.ddpm_induced(), "eta": VarianceRule(0.5)}
-        cases = [("ddim", rule) for rule in rules] + [("ddpm", "ddpm")]
         for T in (50, 49):
-            for family, rule in cases:
-                op = Operator(family, AnalyticEps(bimodal_1d), default_schedule(T),
-                              rule=rules[rule])
+            for rule in rules:
+                op = Operator(AnalyticEps(bimodal_1d), default_schedule(T), rule=rules[rule])
                 for seed in (3, 4):
                     stream = RngStream(seed=seed)
                     x_T = derive_noise(stream, T, Role.INIT, 1)
                     traj, _ = run_parallel(op, x_T, 1, Mode.CONSERVATIVE, stream)
-                    assert _ident(traj, sample(op, x_T, stream)), (T, family, rule, seed)
+                    assert _ident(traj, sample(op, x_T, stream)), (T, rule, seed)
 
-    @pytest.mark.parametrize("family,rule", [("ddpm", VarianceRule.deterministic()),
-                                             ("ddim", VarianceRule.ddpm_induced())],
-                             ids=["ddpm", "ddim-ddpm"])
-    def test_stochastic_distributional_quality(self, sched50, bimodal_2d, family, rule):
+    @pytest.mark.parametrize("rule", [VarianceRule.ddpm_induced()], ids=["ddim-ddpm"])
+    def test_stochastic_distributional_quality(self, sched50, bimodal_2d, rule):
         # acceptance test 06 for a stochastic rule on two devices: the sliced W2
         # of each mode to sequential stays within 2x the seed-to-seed null
         n = 10_000
-        op = Operator(family, AnalyticEps(bimodal_2d), sched50, rule=rule)
+        op = Operator(AnalyticEps(bimodal_2d), sched50, rule=rule)
 
         def batch(seed, mode=None):
             stream = RngStream(seed=seed)
@@ -282,21 +279,21 @@ class TestParallelEuler:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_accounting_and_shape(self, grid, bimodal_1d, mode):
-        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
+        op = Operator(AnalyticEps(bimodal_1d), grid)
         traj, reports = run_parallel(op, np.array([1.5]), 3, mode, None)
         assert traj.timesteps() == list(range(16, -1, -1))
         assert traj.eval_count == 16  # sigma=0 velocity tasks are dropped
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_close_to_sequential(self, grid, bimodal_1d, mode):
-        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
+        op = Operator(AnalyticEps(bimodal_1d), grid)
         x0 = np.array([1.5])
         seq = sample(op, x0, None)
         traj, _ = run_parallel(op, x0, 3, mode, None)
         assert abs(traj.final[0] - seq.final[0]) < 0.05
 
     def test_devices_1_matches_sequential(self, grid, bimodal_1d):
-        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
+        op = Operator(AnalyticEps(bimodal_1d), grid)
         x0 = np.array([1.5])
         seq = sample(op, x0, None)
         traj, _ = run_parallel(op, x0, 1, Mode.CONSERVATIVE, None)
@@ -304,7 +301,7 @@ class TestParallelEuler:
             np.testing.assert_allclose(xa, xb, rtol=1e-12)
 
     def test_deterministic(self, grid, bimodal_1d):
-        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
+        op = Operator(AnalyticEps(bimodal_1d), grid)
         a, _ = run_parallel(op, np.array([1.5]), 4, Mode.AGGRESSIVE, None)
         b, _ = run_parallel(op, np.array([1.5]), 4, Mode.AGGRESSIVE, None)
         assert _ident(a, b)
@@ -322,7 +319,7 @@ class TestParallelEulerWrapperStack:
     @pytest.mark.parametrize("mode, rounds", [(Mode.AGGRESSIVE, 5), (Mode.CONSERVATIVE, 8)])
     def test_virtual_clock_round_law(self, grid, bimodal_1d, mode, rounds):
         eval_ms = 50.0
-        op = Operator("euler", AnalyticEps(bimodal_1d), grid, eval_ms=eval_ms)
+        op = Operator(AnalyticEps(bimodal_1d), grid, eval_ms=eval_ms)
         x0 = np.array([1.5])
         seq = sample(op, x0, None, VirtualClock())
         traj, reports = run_parallel(op, x0, 4, mode, None, clock=VirtualClock())
@@ -331,7 +328,7 @@ class TestParallelEulerWrapperStack:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_submit_order_invariance(self, grid, bimodal_1d, shuffle_rounds, mode):
-        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
+        op = Operator(AnalyticEps(bimodal_1d), grid)
         ref, _ = run_parallel(op, np.array([1.5]), 4, mode, None)
         for order_seed in (1, 2, 3):
             shuffle_rounds(order_seed)
@@ -340,7 +337,7 @@ class TestParallelEulerWrapperStack:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_sigma_zero_task_not_dispatched(self, grid, bimodal_1d, mode, round_calls):
-        op = Operator("euler", AnalyticEps(bimodal_1d), grid)
+        op = Operator(AnalyticEps(bimodal_1d), grid)
         traj, reports = run_parallel(op, np.array([1.5]), 4, mode, None)
         assert sum(rows for _, _, rows in round_calls) == traj.eval_count == 16
         assert sum(r.parallel_evals for r in reports) == 16
@@ -348,7 +345,7 @@ class TestParallelEulerWrapperStack:
     @pytest.mark.parametrize("devices", [1, 2, 3, 4])
     def test_state_independent_equivalence(self, grid, devices):
         # the bit-exact equivalence oracle extends to the Euler family
-        op = Operator("euler", StateIndependent(seed=6, dim=2), grid)
+        op = Operator(StateIndependent(seed=6, dim=2), grid)
         x0 = np.array([1.5, -0.5])
         seq = sample(op, x0, None)
         for mode in Mode:
@@ -367,7 +364,7 @@ class TestSpeedupVirtualClock:
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
-        op = Operator("ddim", den, s, rule=VarianceRule.deterministic(), eval_ms=eval_ms)
+        op = Operator(den, s, rule=VarianceRule.deterministic(), eval_ms=eval_ms)
         traj, reports = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream, clock=clock)
         assert traj.wall_ms == len(reports) * eval_ms == 17 * eval_ms
 
@@ -378,7 +375,7 @@ class TestSpeedupVirtualClock:
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
-        op = Operator("ddim", den, s, rule=VarianceRule.deterministic(), eval_ms=eval_ms)
+        op = Operator(den, s, rule=VarianceRule.deterministic(), eval_ms=eval_ms)
         traj, reports = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream, clock=clock)
         assert traj.wall_ms == len(reports) * eval_ms == 24 * eval_ms
 
@@ -389,7 +386,7 @@ class TestSpeedupVirtualClock:
         stream = RngStream(seed=0)
         x_T = derive_noise(stream, T, Role.INIT, 1)
         clock = VirtualClock()
-        op = Operator("ddim", den, s, rule=VarianceRule.deterministic(), eval_ms=eval_ms)
+        op = Operator(den, s, rule=VarianceRule.deterministic(), eval_ms=eval_ms)
         traj = sample(op, x_T, stream, clock=clock)
         assert traj.wall_ms == T * eval_ms
 
@@ -406,7 +403,8 @@ class TestOverheadVirtualClock:
     def test_run_wall(self, bimodal_1d, family, T, devices, mode):
         eval_ms = 5.0
         levels = build_sigma_grid(T, 0.02, 20, 7) if family == "euler" else default_schedule(T)
-        op = Operator(family, AnalyticEps(bimodal_1d), levels, eval_ms=eval_ms)
+        rule = VarianceRule.ddpm_induced() if family == "ddpm" else VarianceRule.deterministic()
+        op = Operator(AnalyticEps(bimodal_1d), levels, rule=rule, eval_ms=eval_ms)
         x, stream = np.array([1.5]), RngStream(seed=4)
         assert sample(op, x, stream, VirtualClock()).wall_ms == T * eval_ms
         traj, reports = run_parallel(op, x, devices, mode, stream, clock=VirtualClock())
@@ -445,7 +443,8 @@ class TestWallClockOverlap:
         monkeypatch.setattr(module, "evaluate", recording_evaluate)
         monkeypatch.setattr(Operator, "skip", recording_skip)
         # stochastic: noise is derived ahead
-        op = Operator("ddpm", AnalyticEps(bimodal_1d), default_schedule(6), eval_ms=eval_ms)
+        op = Operator(AnalyticEps(bimodal_1d), default_schedule(6), rule=VarianceRule.ddpm_induced(),
+                      eval_ms=eval_ms)
         if mode == "sequential":
             sample(op, np.array([0.3]), RngStream(seed=3))
         else:
@@ -460,7 +459,7 @@ class TestStackedRounds:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_one_call_per_round_on_calling_thread(self, sched50, bimodal_1d, round_calls,
                                                   mode, clock):
-        op = Operator("ddim", AnalyticEps(bimodal_1d), sched50)
+        op = Operator(AnalyticEps(bimodal_1d), sched50)
         traj, reports = run_parallel(op, np.array([0.3]), 4, mode, None,
                                      clock=clock() if clock else None)
         assert len(round_calls) == len(reports)
@@ -480,7 +479,7 @@ class TestStackedRounds:
     def test_empty_round_makes_no_call(self, bimodal_1d, round_calls):
         # N = 17 on 4 devices: the last aggressive block drafts only the
         # sigma = 0 node, whose task is dropped
-        op = Operator("euler", AnalyticEps(bimodal_1d), build_sigma_grid(17, 0.02, 20, 7))
+        op = Operator(AnalyticEps(bimodal_1d), build_sigma_grid(17, 0.02, 20, 7))
         _, reports = run_parallel(op, np.array([1.5]), 4, Mode.AGGRESSIVE, None)
         assert reports[-1].parallel_evals == 0
         assert len(round_calls) == sum(1 for r in reports if r.parallel_evals) == len(reports) - 1
@@ -497,10 +496,8 @@ class TestDraftRule:
 
     @pytest.mark.parametrize("T,devices", [(11, 3), (7, 1)], ids=["T11-d3", "T7-d1-tail"])
     @pytest.mark.parametrize("mode", list(Mode))
-    @pytest.mark.parametrize("family,rule", [("ddim", VarianceRule.ddpm_induced()),
-                                             ("ddpm", VarianceRule.deterministic())],
-                             ids=["ddim-ddpm", "ddpm"])
-    def test_draft_rows(self, bimodal_1d, monkeypatch, family, rule, mode, T, devices):
+    @pytest.mark.parametrize("rule", [VarianceRule.ddpm_induced()], ids=["ddim-ddpm"])
+    def test_draft_rows(self, bimodal_1d, monkeypatch, rule, mode, T, devices):
         calls = []
         real = parallel.evaluate
 
@@ -509,7 +506,7 @@ class TestDraftRule:
             calls.append((np.array(x), [int(u) for u in t], out))
             return out
         monkeypatch.setattr(parallel, "evaluate", recording)
-        op = Operator(family, AnalyticEps(bimodal_1d), default_schedule(T), rule=rule)
+        op = Operator(AnalyticEps(bimodal_1d), default_schedule(T), rule=rule)
         stream = RngStream(seed=4)
         traj, _ = run_parallel(op, np.array([0.7]), devices, mode, stream, clock=VirtualClock())
 
@@ -540,12 +537,10 @@ class TestNoiseDraws:
                                                   (50, 3, (50, 44, 37, 30, 22, 15, 9, 4, 0))],
                              ids=["T11-d3", "T7-d1", "T50-d4", "T50-d3-subsequence"])
     @pytest.mark.parametrize("mode", list(Mode))
-    @pytest.mark.parametrize("family,rule", [("ddpm", VarianceRule.deterministic()),
-                                             ("ddim", VarianceRule.ddpm_induced()),
-                                             ("ddim", VarianceRule(0.5))],
-                             ids=["ddpm", "ddim-ddpm", "ddim-eta"])
+    @pytest.mark.parametrize("rule", [VarianceRule.ddpm_induced(), VarianceRule(0.5)],
+                             ids=["ddim-ddpm", "ddim-eta"])
     def test_sequential_draws_each_once(self, bimodal_1d, monkeypatch,
-                                        family, rule, mode, T, devices, labels):
+                                        rule, mode, T, devices, labels):
         draws = []
         real = RngStream.derive
 
@@ -553,7 +548,7 @@ class TestNoiseDraws:
             draws.append((t, role))
             return real(stream, t, role, shape)
         monkeypatch.setattr(RngStream, "derive", recording)
-        op = Operator(family, AnalyticEps(bimodal_1d), default_schedule(T), labels, rule)
+        op = Operator(AnalyticEps(bimodal_1d), default_schedule(T), labels, rule)
         x, stream = np.array([0.7]), RngStream(seed=6)
         sample(op, x, stream, clock=VirtualClock())
         expected = list(draws)
@@ -564,14 +559,25 @@ class TestNoiseDraws:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_stochastic_operator_needs_a_stream(self, sched50, bimodal_1d, mode):
-        op = Operator("ddpm", AnalyticEps(bimodal_1d), sched50)
-        with pytest.raises(ValueError, match="stream required for a stochastic ddpm operator"):
+        op = Operator(AnalyticEps(bimodal_1d), sched50, rule=VarianceRule.ddpm_induced())
+        with pytest.raises(ValueError, match=r"stream required for a stochastic operator \(eta=1"):
             run_parallel(op, np.array([0.3]), 2, mode, None, clock=VirtualClock())
 
 
 
+class PosteriorOperator(Operator):
+    """The reference DDPM sampler: every transition and draft is the
+    closed-form posterior draw `ddpm_skip_sample`, so `sample` runs it as a
+    loop of unit posterior steps. The samplers' own rule = ddpm kernel is
+    DDIM's skip at eta = 1."""
+
+    def skip(self, i, k, x, v, z):
+        t, u = self.labels[i], self.labels[i + k]
+        return ddpm_skip_sample(self.levels, t, t - u, x, predicted_x0(self.levels, x, v, t), z)
+
+
 class TestDdpmRuleAgreement:
-    """DDIM with rule = ddpm samples what the DDPM family samples: the same
+    """Rule ddpm samples what the closed-form DDPM posterior samples: the same
     noise into each state, through a formula that agrees to rounding, not bit
     for bit. The steep schedule rounds sigma^2 past 1 - abar_{t-k} on some
     skips."""
@@ -580,8 +586,8 @@ class TestDdpmRuleAgreement:
     @pytest.mark.parametrize("schedule", ["default", "steep"])
     def test_final_states_agree(self, bimodal_1d, schedule, labels):
         s = default_schedule(50) if schedule == "default" else build_linear_beta(50, 0.5, 0.999)
-        ops = [Operator("ddpm", AnalyticEps(bimodal_1d), s, labels),
-               Operator("ddim", AnalyticEps(bimodal_1d), s, labels, VarianceRule.ddpm_induced())]
+        ops = [PosteriorOperator(AnalyticEps(bimodal_1d), s, labels, VarianceRule.ddpm_induced()),
+               Operator(AnalyticEps(bimodal_1d), s, labels, VarianceRule.ddpm_induced())]
 
         def finals(op, x, stream):
             """Final states of sample, then of each mode on 2, 4 and 40 devices."""

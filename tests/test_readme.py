@@ -32,7 +32,8 @@ def test_config_example_loads():
     (text,) = [body for lang, body in BLOCKS if lang == "ini"]
     cfg = load_config(text)
     # a comment line stays a comment, never part of a value
-    assert (cfg.op.family, cfg.mode, cfg.devices, cfg.samples) == ("ddim", "aggressive", 3, 100)
+    assert (cfg.raw["sampler.family"], cfg.mode, cfg.devices, cfg.samples) == (
+        "ddim", "aggressive", 3, 100)
     assert cfg.op.eval_ms > 0  # so `skipdiff bench` accepts it
 
 

@@ -39,6 +39,15 @@ class TestLinearBeta:
         with pytest.raises(InvalidScheduleParams):
             build_linear_beta(*args)
 
+    @pytest.mark.parametrize("args, t, value", [((10, 1e-20, 0.4), 1, "1.0"),
+                                                ((200, 0.999, 0.999), 108, "0.0")],
+                             ids=["one", "underflow"])
+    def test_degenerate_alpha_bar_names_the_first_step(self, args, t, value):
+        # 1 - 1e-20 rounds to 1, and 0.001**108 underflows to 0
+        with pytest.raises(InvalidScheduleParams,
+                           match=rf"^alpha_bar\[{t}\] = {value} is not strictly inside \(0, 1\)$"):
+            build_linear_beta(*args)
+
 
 class TestCosine:
     def test_matches_scalar_formula(self):
@@ -60,6 +69,11 @@ class TestCosine:
     def test_invalid_offset(self):
         with pytest.raises(InvalidScheduleParams):
             build_cosine(10, 0.0)
+
+    def test_degenerate_alpha_bar_is_rejected(self):
+        # at this offset every raw level rounds to f(0), so no step adds noise
+        with pytest.raises(InvalidScheduleParams, match=r"^alpha_bar\[1\] = 1.0 is not strictly"):
+            build_cosine(10, 1e300)
 
 
 class TestSigmaGrid:
