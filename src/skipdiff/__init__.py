@@ -26,7 +26,6 @@ from .parallel import (
     BlockPlan,
     Mode,
     RoundReport,
-    execute_round,
     plan_blocks,
     run_parallel,
 )

@@ -34,7 +34,7 @@ class InvalidSubsequence(SkipDiffError):
 
 
 class InvalidPlanParams(SkipDiffError):
-    """Block-plan parameters invalid (T < 1, devices < 1, oversubscribed round)."""
+    """Block-plan parameters invalid (T < 1 or devices < 1)."""
 
 
 class PlanMismatch(SkipDiffError):

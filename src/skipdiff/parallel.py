@@ -18,9 +18,10 @@ Both modes run any sequential.Operator: DDIM and DDPM predict eps on a noise
 schedule, Euler predicts the ODE velocity on a sigma grid, and all three are
 charged the Operator's `eval_ms` per round on the same clocks.
 
-Execution and determinism: each round is one evaluate() call over its drafts
-stacked in task order on a new leading axis, on the scheduler thread, and
-one `eval_ms` charged to the clock at its dispatch. All
+Execution and determinism: a round runs inside `run_parallel`, on the
+scheduler thread: one `eval_ms` charged to the clock at its dispatch and one
+evaluate() call over its drafts stacked in task order on a new leading axis,
+and its RoundReport is timed from that dispatch to the end of its wait. All
 noise comes from counter-based RngStream keys and a stacked row equals its
 one-row call bitwise, so the order of the rows in a round never changes the
 output. The same keys let a round derive, during its simulated device time,
@@ -32,10 +33,9 @@ from enum import Enum
 
 import numpy as np
 
-from .denoiser import Denoiser, VirtualClock, WallClock, evaluate
+from .denoiser import VirtualClock, WallClock, evaluate
 from .errors import InvalidPlanParams, PlanMismatch
 from .rng import RngStream
-from .schedule import NoiseSchedule, SigmaGrid
 from .sequential import Operator, Trajectory
 
 
@@ -84,40 +84,6 @@ def plan_blocks(T: int, devices: int, mode: Mode) -> BlockPlan:
     return BlockPlan(tuple(blocks), total_rounds=rounds, total_evals=T)
 
 
-def execute_round(
-    d: Denoiser,
-    s: NoiseSchedule | SigmaGrid,
-    tasks: list,
-    devices: int,
-    *,
-    anchor_t: int,
-    eval_ms: float = 0.0,
-    pool=None,
-    clock: VirtualClock | WallClock | None = None,
-    meanwhile=None,
-) -> tuple[list, RoundReport]:
-    """Evaluate all (x, t) tasks in one round: `eval_ms` charged to `clock`
-    (default: a new WallClock) and one evaluate() call on this thread over
-    the states stacked in task order (neither if there are no tasks), then
-    `meanwhile()` during that device time, then the wait on `clock`. Returns
-    the predictions by task index and the round's report, timed from
-    dispatch to the end of the wait. `pool` is accepted and ignored, because
-    `perfbench/micro.py` passes one."""
-    if len(tasks) > devices:
-        raise InvalidPlanParams(f"{len(tasks)} tasks exceed {devices} devices")
-    clock = clock or WallClock()
-    t0 = clock.elapsed_ms
-    results = []
-    if tasks:
-        clock.charge(eval_ms)
-        results = list(evaluate(d, s, np.array([x for x, _ in tasks]),
-                                np.array([t for _, t in tasks])))
-    if meanwhile is not None:
-        meanwhile()
-    clock.wait()
-    return results, RoundReport(anchor_t, len(tasks), clock.elapsed_ms - t0)
-
-
 def run_parallel(
     op: Operator,
     x: np.ndarray,
@@ -149,15 +115,19 @@ def run_parallel(
     def round_(tasks, b):
         """Evaluate (x, position) tasks in one round of block b, deriving the
         z needed before the next round meanwhile; predictions by position.
-        No tasks, no round."""
+        No tasks, no round; no live task, no charge and no call."""
         if not tasks:
             return {}
         live = [(xx, i) for xx, i in tasks if op.predicts(i)]
-        vals, report = execute_round(op.denoiser, op.levels, [(xx, op.level(i)) for xx, i in live],
-                                     devices, anchor_t=op.labels[blocks[b][0]],
-                                     eval_ms=op.eval_ms, clock=clock,
-                                     meanwhile=lambda: derive_through(b + 1))
-        reports.append(report)
+        t0 = clock.elapsed_ms
+        vals = []
+        if live:
+            clock.charge(op.eval_ms)
+            vals = evaluate(op.denoiser, op.levels, np.array([xx for xx, _ in live]),
+                            np.array([op.level(i) for _, i in live]))
+        derive_through(b + 1)
+        clock.wait()
+        reports.append(RoundReport(op.labels[blocks[b][0]], len(live), clock.elapsed_ms - t0))
         traj.eval_count += len(live)
         return {i: v for (_, i), v in zip(live, vals)}
 

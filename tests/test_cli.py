@@ -174,8 +174,9 @@ class TestSample:
     def test_non_finite_state_exits_runtime(self, tmp_path, capsys, mode):
         # a finite mean near the float limit overflows the oracle; numpy warns of
         # nothing, because the non-finite state itself is the one error reported
+        devices = "" if mode == "sequential" else "sampler.devices = 2\n"
         cfg = write_cfg(tmp_path, (
-            f"mixture.means = 1e308\nsampler.mode = {mode}\nsampler.devices = 2\n"
+            f"mixture.means = 1e308\nsampler.mode = {mode}\n{devices}"
             f"output.samples = {tmp_path}/p.csv\n"
         ))
         with warnings.catch_warnings():

@@ -14,7 +14,6 @@ from skipdiff import (
     build_sigma_grid,
     eps_oracle,
     evaluate,
-    execute_round,
     sample,
     state_independent_eps,
     velocity_oracle,
@@ -259,8 +258,6 @@ def test_zero_weight_component_is_silent_and_inert(bimodal_1d, sched50):
 STACKED_DENOISERS = {
     "analytic": lambda gm: AnalyticEps(gm),
     "state-independent": lambda gm: StateIndependent(seed=4, dim=gm.dim),
-    # an analytic round charged its device time, as execute_round dispatches it
-    "latency": lambda gm: AnalyticEps(gm),
 }
 
 
@@ -269,7 +266,7 @@ STACKED_DENOISERS = {
 @pytest.mark.parametrize("dim, comps", [(1, 2), (2, 3), (8, 5)])
 @pytest.mark.parametrize("row_shape", ["(k, d)", "(k, n, d)"])
 def test_stacked_rows_equal_one_row_calls(sched50, kind, levels, dim, comps, row_shape):
-    # a stacked call with one timestep per row is what execute_round makes
+    # a stacked call with one timestep per row is what run_parallel makes
     # for a round; each row must be bitwise the one-row call
     rng = np.random.default_rng(dim * 10 + comps)
     gm = GaussianMixture(weights=rng.dirichlet(np.ones(comps)),
@@ -279,25 +276,9 @@ def test_stacked_rows_equal_one_row_calls(sched50, kind, levels, dim, comps, row
     ts = np.array([13, 1, 7, 13] if levels == "grid" else [50, 0, 13, 1])
     xs = rng.normal(0, 2, (4, dim) if row_shape == "(k, d)" else (4, 3, dim))
     d = STACKED_DENOISERS[kind](gm)
-    if kind == "latency":
-        stacked, _ = execute_round(d, s, list(zip(xs, ts)), len(ts), anchor_t=int(ts[0]),
-                                   eval_ms=5.0, clock=VirtualClock())
-    else:
-        stacked = evaluate(d, s, xs, ts)
+    stacked = evaluate(d, s, xs, ts)
     for j in range(len(ts)):
         np.testing.assert_array_equal(stacked[j], evaluate(d, s, xs[j], int(ts[j])))
-
-
-def test_stacked_call_counts_rows_and_charges_once(bimodal_1d, sched50):
-    d = AnalyticEps(bimodal_1d)
-    clock = VirtualClock()
-    tasks = [(np.zeros(1), t) for t in (9, 8, 7)]
-    vals, _ = execute_round(d, sched50, tasks, 3, anchor_t=9, eval_ms=5.0, clock=clock)
-    assert np.shape(vals) == (3, 1)
-    assert clock.elapsed_ms == 5.0
-    op = Operator(d, sched50, (9, 0), eval_ms=5.0)
-    sample(op, np.zeros((2, 1)), None, clock)  # a batch at one timestep is one eval
-    assert clock.elapsed_ms == 10.0
 
 
 def test_stacked_out_of_range_row_raises(bimodal_1d, sched50):

@@ -19,7 +19,6 @@ from skipdiff import (
     build_sigma_grid,
     ddpm_skip_sample,
     default_schedule,
-    execute_round,
     plan_blocks,
     predicted_x0,
     run_parallel,
@@ -104,21 +103,9 @@ class TestPlanBlocks:
 class TestEquivalence:
     """With a state-independent denoiser every draft evaluation sees the eps
     the sequential sampler would have seen, so both modes must reproduce
-    sequential DDIM bit-exactly. The DDIM (T, devices, rule) grid is `verify`'s
-    equivalence suite, which acceptance test 01 runs."""
-
-    def test_ddpm_family(self, sched50):
-        den = StateIndependent(seed=7, dim=1)
-        stream = RngStream(seed=1)
-        x_T = derive_noise(stream, 50, Role.INIT, 1)
-        op = Operator(den, sched50, rule=VarianceRule.ddpm_induced())
-        seq = sample(op, x_T, stream)
-        for devices in (1, 3):
-            agg, _ = run_parallel(op, x_T, devices, Mode.AGGRESSIVE, stream)
-            con, _ = run_parallel(op, x_T, devices, Mode.CONSERVATIVE, stream)
-            assert _ident(agg, seq)
-            assert _ident(con, seq)
-
+    sequential DDIM bit-exactly. The (T, devices, rule) grid, rule = ddpm (the
+    DDPM family) included, is `verify`'s equivalence suite, which acceptance
+    test 01 runs."""
 
     @pytest.mark.parametrize("devices", [1, 2, 3, 4])
     @pytest.mark.parametrize("rule", [VarianceRule.deterministic(), VarianceRule.ddpm_induced()],
@@ -163,35 +150,18 @@ class TestAccounting:
 
 
 class TestExecuteRound:
-    def test_results_ordered_by_task_index(self, sched50):
-        den = StateIndependent(seed=2, dim=1)
-        tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
-        vals, report = execute_round(den, sched50, tasks, 3, anchor_t=9)
-        from skipdiff import state_independent_eps
-        assert len(vals) == 3
-        for v, (_, t) in zip(vals, tasks):
-            np.testing.assert_array_equal(v, state_independent_eps(2, t, 1))
-        assert report.parallel_evals == 3
+    """A round of `run_parallel`: what it charges and what it raises."""
 
     def test_virtual_clock_round(self, sched50, bimodal_1d):
-        den = AnalyticEps(bimodal_1d)
+        # a round costs one eval_ms whatever its drafts and chains, as a
+        # sequential step over a batch of chains does
+        op = Operator(AnalyticEps(bimodal_1d), sched50, (9, 6, 3, 0), eval_ms=40.0)
         clock = VirtualClock()
-        tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
-        _, report = execute_round(den, sched50, tasks, 3, anchor_t=9, eval_ms=40.0, clock=clock)
-        assert report.round_wall_ms == 40.0
-        assert clock.elapsed_ms == 40.0
-
-    def test_too_many_tasks(self, sched50):
-        den = StateIndependent(seed=2, dim=1)
-        tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
-        with pytest.raises(InvalidPlanParams):
-            execute_round(den, sched50, tasks, 2, anchor_t=9)
-
-    def test_worker_failure_propagates(self, sched50, bimodal_1d):
-        den = AnalyticEps(bimodal_1d)
-        tasks = [(np.zeros(2), 5), (np.zeros(2), 5)]  # 2-D states on a 1-D mixture
-        with pytest.raises(DimensionMismatch):
-            execute_round(den, sched50, tasks, 2, anchor_t=5)
+        traj, reports = run_parallel(op, np.zeros((2, 1)), 3, Mode.AGGRESSIVE, None, clock=clock)
+        assert [r.parallel_evals for r in reports] == [1, 3]
+        assert [r.round_wall_ms for r in reports] == [40.0, 40.0]
+        assert traj.wall_ms == clock.elapsed_ms == 80.0
+        assert sample(op, np.zeros((2, 1)), None, clock).wall_ms == 3 * 40.0
 
     @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
     def test_drivers_raise_the_same_error(self, sched50, bimodal_2d, mode):
@@ -471,10 +441,10 @@ class TestStackedRounds:
     def test_round_sleeps_once(self, sched50, bimodal_1d):
         # three drafts, one 40 ms latency: the round costs one evaluation, not
         # three (the upper bound leaves room for the host's sleep resolution)
-        tasks = [(np.zeros(1), t) for t in (9, 5, 7)]
-        _, report = execute_round(AnalyticEps(bimodal_1d), sched50, tasks, 3, anchor_t=9,
-                                  eval_ms=40.0)
-        assert 40.0 <= report.round_wall_ms < 80.0
+        op = Operator(AnalyticEps(bimodal_1d), sched50, (9, 6, 3, 0), eval_ms=40.0)
+        _, reports = run_parallel(op, np.zeros(1), 3, Mode.AGGRESSIVE, None)
+        assert reports[-1].parallel_evals == 3
+        assert 40.0 <= reports[-1].round_wall_ms < 80.0
 
     def test_empty_round_makes_no_call(self, bimodal_1d, round_calls):
         # N = 17 on 4 devices: the last aggressive block drafts only the
@@ -483,9 +453,6 @@ class TestStackedRounds:
         _, reports = run_parallel(op, np.array([1.5]), 4, Mode.AGGRESSIVE, None)
         assert reports[-1].parallel_evals == 0
         assert len(round_calls) == sum(1 for r in reports if r.parallel_evals) == len(reports) - 1
-        round_calls.clear()
-        vals, report = execute_round(AnalyticEps(bimodal_1d), op.levels, [], 4, anchor_t=1)
-        assert vals == [] and report.parallel_evals == 0 and not round_calls
 
 
 class TestDraftRule:
