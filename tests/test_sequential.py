@@ -124,6 +124,20 @@ class TestSampleDdim:
                       np.array([2.5]), RngStream(seed=3))
         assert 0.5 < traj.final[0] < 4.5
 
+    def test_stochastic_moments(self, std_normal_1d):
+        # same discretization caveat as the DDPM moment test: use a fine grid
+        s = build_linear_beta(200, 1e-4, 0.05)
+        d = AnalyticEps(std_normal_1d)
+        n = 4000
+        stream = RngStream(seed=11)
+        x_T = derive_noise(stream, s.T, Role.INIT, (n, 1))
+        op = Operator(d, s, rule=VarianceRule.ddpm_induced())
+        finals = sample(op, x_T, stream).final[:, 0]
+        se_mean = 1 / math.sqrt(n)
+        se_var = math.sqrt(2 / (n - 1))
+        assert abs(finals.mean()) <= 4 * se_mean
+        assert abs(finals.var() - 1) <= 4 * se_var
+
 
 class TestSampleEuler:
     def test_accounting(self, std_normal_1d):
