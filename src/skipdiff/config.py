@@ -42,15 +42,15 @@ _MAX_DIM = np.iinfo(np.intp).max // 8  # the longest float64 vector numpy can si
 # key -> (default, meaning); a key whose default is None is absent unless given.
 # The report echoes the defaults in this order, then the other given keys.
 KNOWN_KEYS = {
-    "schedule.kind": ("linear", "linear | cosine"),
-    "schedule.T": ("50", "total discrete steps"),
-    "schedule.beta_start": ("0.002", "linear schedule start rate"),
-    "schedule.beta_end": ("0.4", "linear schedule end rate"),
-    "schedule.offset": ("0.008", "cosine schedule offset"),
+    "schedule.kind": ("linear", "DDIM/DDPM schedule: linear | cosine"),
+    "schedule.T": ("50", "DDIM/DDPM total discrete steps"),
+    "schedule.beta_start": ("0.002", "DDIM/DDPM linear schedule start rate"),
+    "schedule.beta_end": ("0.4", "DDIM/DDPM linear schedule end rate"),
+    "schedule.offset": ("0.008", "DDIM/DDPM cosine schedule offset"),
     "grid.N": ("32", "Euler steps"),
-    "grid.sigma_min": ("0.02", "sigma the spacing reaches at step N, where the grid puts 0"),
-    "grid.sigma_max": ("10", "largest sigma"),
-    "grid.rho": ("3", "grid spacing exponent"),
+    "grid.sigma_min": ("0.02", "Euler sigma the spacing reaches at step N, where the grid puts 0"),
+    "grid.sigma_max": ("10", "Euler largest sigma"),
+    "grid.rho": ("3", "Euler grid spacing exponent"),
     "denoiser.kind": ("mixture", "mixture | state-independent"),
     "denoiser.seed": ("0", "state-independent stream seed"),
     "mixture.weights": ("1", "component weights (comma list)"),
@@ -156,25 +156,30 @@ def load_config(text: str) -> RunConfig:
 
 def _build(kv: dict, given: dict) -> RunConfig:
     """Raises ValueError on a bad value; load_config reports it as a ConfigError."""
-    for key in ("schedule.beta_start", "schedule.beta_end"):
-        _applies(given, key, kv["schedule.kind"] != "cosine", "schedule.kind = linear")
-    _applies(given, "schedule.offset", kv["schedule.kind"] != "linear", "schedule.kind = cosine")
-    if kv["schedule.kind"] == "linear":
-        schedule = build_linear_beta(_number(kv, "schedule.T", int, 1),
-                                     _number(kv, "schedule.beta_start"),
-                                     _number(kv, "schedule.beta_end"))
-    elif kv["schedule.kind"] == "cosine":
-        schedule = build_cosine(_number(kv, "schedule.T", int, 1), _number(kv, "schedule.offset"))
-    else:
-        raise ValueError(f"schedule.kind: unknown kind {kv['schedule.kind']!r}")
-    grid = build_sigma_grid(_number(kv, "grid.N", int, 1), _number(kv, "grid.sigma_min"),
-                            _number(kv, "grid.sigma_max"), _number(kv, "grid.rho"))
-
-    family, mode = kv["sampler.family"], kv["sampler.mode"]
+    family, mode, schedule = kv["sampler.family"], kv["sampler.mode"], kv["schedule.kind"]
     if family not in ("ddpm", "ddim", "euler"):
         raise ValueError(f"sampler.family: unknown family {family!r}")
     if mode not in ("sequential", "aggressive", "conservative"):
         raise ValueError(f"sampler.mode: unknown mode {mode!r}")
+    if schedule not in ("linear", "cosine"):
+        raise ValueError(f"schedule.kind: unknown kind {schedule!r}")
+    euler = family == "euler"  # Euler samples on a sigma grid, DDIM and DDPM on a schedule
+    for key in ("grid.sigma_min", "grid.sigma_max", "grid.rho"):
+        _applies(given, key, euler, "sampler.family = euler")
+    for key, kind in (("schedule.beta_start", "linear"), ("schedule.beta_end", "linear"),
+                      ("schedule.offset", "cosine")):
+        _applies(given, key, not euler and schedule == kind, f"ddim/ddpm on the {kind} schedule")
+    # every benchmark request writes grid.N, schedule.kind and schedule.T, so these stay
+    # accepted and range-checked with every family, though only the family's levels are built
+    T, N = _number(kv, "schedule.T", int, 1), _number(kv, "grid.N", int, 1)
+    if euler:
+        levels = build_sigma_grid(N, _number(kv, "grid.sigma_min"),
+                                  _number(kv, "grid.sigma_max"), _number(kv, "grid.rho"))
+    elif schedule == "linear":
+        levels = build_linear_beta(T, _number(kv, "schedule.beta_start"),
+                                   _number(kv, "schedule.beta_end"))
+    else:
+        levels = build_cosine(T, _number(kv, "schedule.offset"))
 
     rules = {"deterministic": VarianceRule.deterministic(), "ddpm": VarianceRule.ddpm_induced(),
              "eta": VarianceRule(_number(kv, "sampler.eta"))}
@@ -186,7 +191,7 @@ def _build(kv: dict, given: dict) -> RunConfig:
         raise ValueError(f"sampler.rule: the {family} family samples with rule {only} only")
     kv["sampler.rule"] = only  # the report echoes the rule the run samples with
 
-    _applies(given, "sampler.subsequence", family != "euler", "the ddim and ddpm families")
+    _applies(given, "sampler.subsequence", not euler, "the ddim and ddpm families")
     labels = None
     if "sampler.subsequence" in kv:
         try:
@@ -219,13 +224,12 @@ def _build(kv: dict, given: dict) -> RunConfig:
     eval_ms = (_number(kv, "latency.eval_ms", lo=0.0, hi=_MAX_LATENCY_MS)
                if "latency.eval_ms" in kv else 0.0)
 
-    if family == "euler" and mixture is None:
+    if euler and mixture is None:
         raise ValueError("sampler.family=euler requires a mixture denoiser")
     samples = _number(kv, "samples", int, 1, _SEED_KEYS)
     return RunConfig(
         raw=kv,
-        op=Operator(denoiser, grid if family == "euler" else schedule, labels,
-                    rules[kv["sampler.rule"]], eval_ms),
+        op=Operator(denoiser, levels, labels, rules[kv["sampler.rule"]], eval_ms),
         mode=mode, devices=_number(kv, "sampler.devices", int, 1),
         seed=_number(kv, "seed", int, 0, _SEED_KEYS - samples),  # run i uses seed + i
         samples=samples, dim=dim,

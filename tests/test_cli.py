@@ -383,6 +383,15 @@ BAD_INPUTS = {
     "euler-rule-ddpm": (BIMODAL + "sampler.family = euler\nsampler.rule = ddpm\n", ["sample"]),
     "euler-rule-eta": (BIMODAL + "sampler.family = euler\nsampler.rule = eta\nsampler.eta = 0\n",
                        ["sample"]),
+    # level keys of the levels the family does not sample on
+    "grid-sigma-min-ddim": (BIMODAL + "grid.sigma_min = 0.01\n", ["sample"]),
+    "grid-sigma-max-ddim": (BIMODAL + "sampler.family = ddim\ngrid.sigma_max = 20\n", ["sample"]),
+    "grid-rho-ddpm": (BIMODAL + "sampler.family = ddpm\ngrid.rho = 3\n", ["sample"]),
+    "beta-start-euler": (BIMODAL + "sampler.family = euler\nschedule.beta_start = 0.002\n",
+                         ["sample"]),
+    "beta-end-euler": (BIMODAL + "sampler.family = euler\nschedule.beta_end = 0.4\n", ["sample"]),
+    "offset-euler-cosine": (BIMODAL + "sampler.family = euler\nschedule.kind = cosine\n"
+                            "schedule.offset = 0.01\n", ["sample"]),
 }
 
 

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from skipdiff import AnalyticEps, NoiseSchedule, StateIndependent, VarianceRule
+from skipdiff import AnalyticEps, NoiseSchedule, SigmaGrid, StateIndependent, VarianceRule
 from skipdiff.config import load_config, load_config_file, parse_kv_text
 from skipdiff.errors import ConfigError
 
@@ -110,6 +112,33 @@ class TestLoadConfig:
     def test_euler_needs_mixture(self):
         with pytest.raises(ConfigError, match="euler"):
             load_config("sampler.family = euler\ndenoiser.kind = state-independent\ndim = 1")
+
+    @pytest.mark.parametrize("family, rule", [("ddim", "deterministic"), ("ddpm", "ddpm"),
+                                              ("euler", "deterministic")])
+    @pytest.mark.parametrize("mode", ["sequential", "aggressive", "conservative"])
+    def test_benchmark_request_head_loads(self, family, mode, rule):
+        # the benchmark writes these level keys into every request, whatever its family
+        cfg = load_config(f"schedule.kind = linear\nschedule.T = 50\ngrid.N = 50\n"
+                          f"sampler.family = {family}\nsampler.mode = {mode}\n"
+                          f"sampler.devices = {1 if mode == 'sequential' else 4}\n"
+                          f"sampler.rule = {rule}\n")
+        assert isinstance(cfg.op.levels, SigmaGrid if family == "euler" else NoiseSchedule)
+        assert cfg.op.top == 50
+
+    @pytest.mark.parametrize("text, steps", [
+        ("grid.N = 10000000\n", 50),
+        ("sampler.family = euler\nschedule.T = 10000000\n", 32),
+    ], ids=["ddim-grid-N", "euler-schedule-T"])
+    def test_builds_only_the_levels_its_family_samples_on(self, text, steps):
+        # 10**7 levels the family never reads would trace 229 MiB
+        tracemalloc.start()
+        try:
+            cfg = load_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert cfg.op.steps == steps  # the default levels of the family's own kind
 
     def test_raw_echo_includes_defaults(self):
         cfg = load_config("seed = 7")
